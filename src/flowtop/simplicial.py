@@ -2,9 +2,12 @@
 
 This is the independent verifier for the closed-form homology rules: a
 complex is a vertex order plus a facet list, the full face lattice is
-derived, boundary matrices use the alternating-sign rule with
-lexicographically ordered bases, and homology comes from Smith normal
-form of those matrices (so torsion is computed exactly, not only ranks).
+derived, and boundary matrices use the alternating-sign rule with
+lexicographically ordered bases.  Homology is computed exactly, torsion
+included: each boundary is built as sparse columns, every +-1 pivot is
+eliminated (exact over Z, and the invariant factors are unchanged), and
+only the residual that has no unit entry left goes through dense Smith
+normal form.
 
 Constructors cover triangulated spheres, polygons, products (staircase
 triangulation) and connected sums; together they triangulate any manifold
@@ -13,8 +16,9 @@ expression via :func:`triangulate`.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Any
 
@@ -29,6 +33,7 @@ __all__ = [
     "complex_from_json",
     "complex_to_json",
     "connected_sum_complex",
+    "eliminate_unit_pivots",
     "product_complex",
     "projective_plane_complex",
     "simplicial_homology",
@@ -71,8 +76,16 @@ class SimplicialComplex:
             facet_set.add(tuple(sorted(ixs)))
         if not facet_set:
             raise ValueError("a complex needs at least one facet")
-        maximal = [f for f in facet_set
-                   if not any(set(f) < set(g) for g in facet_set if len(g) > len(f))]
+        # A facet is dropped when it is a proper face of a larger one; only
+        # the facet sizes that occur are generated, so a pure list costs one pass.
+        sizes = sorted({len(f) for f in facet_set})
+        covered: set[tuple[int, ...]] = set()
+        for g in facet_set:
+            for size in sizes:
+                if size >= len(g):
+                    break
+                covered.update(combinations(g, size))
+        maximal = [f for f in facet_set if f not in covered]
 
         dim = max(len(f) for f in maximal) - 1
         lattice: list[set[tuple[int, ...]]] = [set() for _ in range(dim + 1)]
@@ -111,8 +124,16 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(level) for d, level in enumerate(self._simplices))
 
+    def _boundary_columns(self, i: int) -> Iterator[list[tuple[int, int]]]:
+        """The columns of the i-th boundary as (row, sign) pairs, in the
+        bases and with the signs that :meth:`boundary_matrix` documents."""
+        row_of = {s: r for r, s in enumerate(self._simplices[i - 1])}
+        signs = [-1 if j % 2 else 1 for j in range(i + 1)]
+        for simplex in self._simplices[i]:
+            yield [(row_of[simplex[:j] + simplex[j + 1:]], signs[j]) for j in range(i + 1)]
+
     def boundary_matrix(self, i: int) -> IntegerMatrix:
-        """Matrix of the i-th boundary operator, 1 <= i <= dim.
+        """Dense matrix of the i-th boundary operator, 1 <= i <= dim.
 
         Rows are indexed by the (i-1)-simplices and columns by the
         i-simplices, both in lexicographic order; the entry for dropping
@@ -120,40 +141,101 @@ class SimplicialComplex:
         """
         if not 1 <= i <= self.dim:
             raise ValueError(f"boundary degree must lie in 1..{self.dim}, got {i}")
-        row_of = {s: r for r, s in enumerate(self._simplices[i - 1])}
-        cols = self._simplices[i]
-        mat = [[0] * len(cols) for _ in row_of]
-        for c, simplex in enumerate(cols):
-            for j in range(len(simplex)):
-                face = simplex[:j] + simplex[j + 1:]
-                mat[row_of[face]][c] = 1 if j % 2 == 0 else -1
-        return IntegerMatrix(mat, ncols=len(cols))
+        ncols = len(self._simplices[i])
+        mat = [[0] * ncols for _ in self._simplices[i - 1]]
+        for c, entries in enumerate(self._boundary_columns(i)):
+            for r, sign in entries:
+                mat[r][c] = sign
+        return IntegerMatrix(mat, ncols=ncols)
 
     def __repr__(self) -> str:
         counts = [len(level) for level in self._simplices]
         return f"SimplicialComplex(dim={self.dim}, simplex_counts={counts})"
 
 
-def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
-    """Integer homology of K from Smith normal form of its boundary maps.
+def eliminate_unit_pivots(columns: list[dict[int, int]], nrows: int) -> tuple[int, IntegerMatrix]:
+    """Eliminate every +-1 pivot of a sparse integer matrix, in place.
 
-    rank H_i = (#i-simplices) - rank d_i - rank d_{i+1}, and the torsion of
-    H_i is the set of invariant factors of d_{i+1} exceeding 1.
+    ``columns[c]`` maps row index to a nonzero entry.  A pivot entry of +-1
+    clears its row from every other column by a column operation that stays
+    over Z; its column then holds nothing but the pivot and is split off.
+    Short columns are taken first, and within a column the pivot with the
+    shortest row, which keeps the fill-in small.  Entries that fill in and
+    grow beyond +-1 stay in the residual.
+
+    Returns the number of pivots and the residual: the columns left, on the
+    rows they touch, none of whose entries is +-1.  The matrix is equivalent
+    over Z to an identity block of that size beside the residual, so its
+    invariant factors are the pivots' 1s followed by the residual's.
+    """
+    rows: list[set[int]] = [set() for _ in range(nrows)]
+    for c, col in enumerate(columns):
+        for r in col:
+            rows[r].add(c)
+    queue = [(len(col), c) for c, col in enumerate(columns) if col]
+    heapify(queue)
+    pivots = 0
+    while queue:
+        length, c = heappop(queue)
+        col = columns[c]
+        if len(col) != length:
+            continue  # stale: the column changed after it was queued
+        pivot_row = -1
+        for r, x in col.items():
+            if (x == 1 or x == -1) and (pivot_row < 0 or len(rows[r]) < len(rows[pivot_row])):
+                pivot_row = r
+        if pivot_row < 0:
+            continue
+        sign = col[pivot_row]
+        for r in col:
+            rows[r].discard(c)
+        for c2 in rows[pivot_row].copy():
+            other = columns[c2]
+            q = other[pivot_row] * sign
+            for r, x in col.items():
+                y = other.get(r, 0) - q * x
+                if y:
+                    if r not in other:
+                        rows[r].add(c2)
+                    other[r] = y
+                else:
+                    del other[r]
+                    rows[r].discard(c2)
+            heappush(queue, (len(other), c2))
+        columns[c] = {}
+        pivots += 1
+    left = [col for col in columns if col]
+    touched = sorted({r for col in left for r in col})
+    residual = [[col.get(r, 0) for col in left] for r in touched]
+    return pivots, IntegerMatrix(residual, ncols=len(left))
+
+
+def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
+    """Integer homology of K from the invariant factors of its boundary maps.
+
+    Each boundary d_i is built as sparse columns and its +-1 pivots are
+    eliminated (:func:`eliminate_unit_pivots`); only the residual goes to
+    dense Smith normal form.  rank d_i is the number of pivots plus the
+    residual's rank.  rank H_i = (#i-simplices) - rank d_i - rank d_{i+1},
+    and the torsion of H_i is the set of invariant factors of d_{i+1}
+    exceeding 1, all of which come from the residual.
     """
     top = K.dim
-    diagonals: dict[int, list[int]] = {}
-    for i in range(1, top + 1):
-        diagonals[i] = smith_diagonal(K.boundary_matrix(i))
-    rank_d = {i: sum(1 for x in diag if x) for i, diag in diagonals.items()}
-    ranks: dict[int, int] = {}
+    rank_d: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
+    for i in range(1, top + 1):
+        columns = [dict(entries) for entries in K._boundary_columns(i)]
+        pivots, residual = eliminate_unit_pivots(columns, K.n_simplices(i - 1))
+        diag = smith_diagonal(residual) if residual.nrows else []
+        rank_d[i] = pivots + sum(1 for x in diag if x)
+        factors = tuple(x for x in diag if x > 1)
+        if factors:
+            torsion[i - 1] = factors
+    ranks: dict[int, int] = {}
     for i in range(top + 1):
         r = K.n_simplices(i) - rank_d.get(i, 0) - rank_d.get(i + 1, 0)
         if r:
             ranks[i] = r
-        factors = tuple(x for x in diagonals.get(i + 1, []) if x > 1)
-        if factors:
-            torsion[i] = factors
     return GradedGroup(ranks, torsion)
 
 

@@ -196,7 +196,8 @@ class TestOracleComplexCommand:
 
 
 class TestCrosscheckCommand:
-    @pytest.mark.parametrize("expr", ["S3", "S1 x S1", "Sng(2,2)", "Sng(3,1)"])
+    # S2 x S2 x S1 is dimension 5, inside the default --max-dim.
+    @pytest.mark.parametrize("expr", ["S3", "S1 x S1", "Sng(2,2)", "Sng(3,1)", "S2 x S2 x S1"])
     def test_family_members_match(self, capsys, expr):
         code, out, _ = run(capsys, "crosscheck", expr, "--format", "json")
         assert code == 0
