@@ -67,7 +67,10 @@ def _graded_lines(group: GradedGroup, top: int) -> list[str]:
 
 def _load_json_file(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON document is nested too deeply") from None
 
 
 def _cmd_homology(args) -> int:

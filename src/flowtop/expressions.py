@@ -8,9 +8,10 @@ test fixtures:
     term := atom ('x' atom)*
     atom := 'S' INT | 'Sng' '(' INT ',' INT ')' | '(' expr ')'
 
-Whitespace is insignificant and the product ``x`` binds tighter than the
-connected sum ``#``.  ``S<k>`` is the k-sphere, k >= 1 (S0 is disconnected
-and rejected).  ``Sng(n, g)`` is shorthand for the standard genus-g piece:
+Whitespace is insignificant, the product ``x`` binds tighter than the
+connected sum ``#``, and brackets nest at most MAX_BRACKET_DEPTH levels
+deep.  ``S<k>`` is the k-sphere, k >= 1 (S0 is disconnected and
+rejected).  ``Sng(n, g)`` is shorthand for the standard genus-g piece:
 the sphere S^n for g = 0, otherwise a connected sum of g copies of
 S^{n-1} x S^1.
 
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 __all__ = [
     "ConnSum",
     "DimensionMismatchError",
+    "MAX_BRACKET_DEPTH",
     "ManifoldExpr",
     "ParseError",
     "Product",
@@ -145,6 +147,10 @@ def s_ng(n: int, g: int) -> ManifoldExpr:
 
 _ATOM_HINT = "'S<k>', 'Sng(<n>,<g>)' or '('"
 
+# Deepest bracket nesting the recursive-descent parser accepts; each level
+# costs three Python frames here and more in the recursive tree functions.
+MAX_BRACKET_DEPTH = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
     tokens = []
@@ -184,6 +190,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, int, int]]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     def peek(self) -> str:
         return self._tokens[self._pos][0]
@@ -232,8 +239,13 @@ class _Parser:
             except ValueError as exc:
                 raise ParseError(str(exc), pos) from exc
         if kind == "(":
+            if self._depth == MAX_BRACKET_DEPTH:
+                raise ParseError(
+                    f"brackets nested deeper than {MAX_BRACKET_DEPTH} levels", pos)
+            self._depth += 1
             inner = self.parse_expr()
             self.expect(")", "')'")
+            self._depth -= 1
             return inner
         raise ParseError(f"expected {_ATOM_HINT}", pos)
 

@@ -23,7 +23,9 @@ from functools import lru_cache
 from typing import Any, Mapping
 
 from .expressions import s_ng
-from .homology import euler_characteristic, poincare_polynomial
+# flows no longer calls euler_characteristic, but perfbench/spans.py wraps it
+# here as an import site, so the name stays importable from this module.
+from .homology import euler_characteristic, poincare_polynomial  # noqa: F401
 
 __all__ = [
     "CheckResult",
@@ -319,10 +321,14 @@ def _morse_detail(violations: list[tuple[int, int, int]]) -> str:
     return "; ".join(f"c_{i} = {c} < beta_{i} = {b}" for i, c, b in violations)
 
 
+def _alternating_sum(values: tuple[int, ...]) -> int:
+    return sum(v if i % 2 == 0 else -v for i, v in enumerate(values))
+
+
 def _check_euler(n: int, c: tuple[int, ...], g: int | None) -> CheckResult:
-    alternating = sum(ci if i % 2 == 0 else -ci for i, ci in enumerate(c))
+    alternating = _alternating_sum(c)
     if g is not None:
-        expected = euler_characteristic(s_ng(n, g))
+        expected = _alternating_sum(_betti_row(n, g))
         ok = alternating == expected
         return CheckResult(
             "euler_characteristic", ok,
@@ -347,6 +353,18 @@ def _check_connections(spec: FlowSpec) -> CheckResult:
         return 1 <= idx[v] <= n - 1
 
     problems: list[str] = []
+    labelled = [0] * (n + 1)
+    for i in idx.values():
+        labelled[i] += 1
+    for i, (found, declared) in enumerate(zip(labelled, spec.counts)):
+        if found > declared:
+            problems.append(
+                f"{found} equilibria are labelled with Morse index {i}, "
+                f"but counts[{i}] = {declared}")
+        elif found < declared and 1 <= i <= n - 1:
+            problems.append(
+                f"counts[{i}] = {declared}, but only {found} saddles of index {i} "
+                "are labelled")
     neighbours: dict[str, set[str]] = {}
     for edge in spec.connections:
         a, b = edge.source, edge.target
@@ -368,7 +386,9 @@ def _check_connections(spec: FlowSpec) -> CheckResult:
         return CheckResult("connections", False, "; ".join(problems))
     return CheckResult(
         "connections", True,
-        "no saddle-to-saddle edges; every saddle has a unique sink and source")
+        "no index has more labelled equilibria than its count and every counted "
+        "saddle is labelled; no saddle-to-saddle edges; every saddle has a unique "
+        "sink and source")
 
 
 def enumerate_flows(n: int, g: int, k_max: int) -> list[tuple[int, ...]]:

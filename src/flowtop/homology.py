@@ -18,6 +18,7 @@ cases.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 
 from .expressions import ConnSum, ManifoldExpr, Product, SphereAtom, dimension
@@ -199,12 +200,11 @@ def homology(expr: ManifoldExpr) -> GradedGroup:
     if isinstance(expr, ConnSum):
         n = dimension(expr)
         ranks = {0: 1, n: 1}
-        for summand in expr.summands:
-            h = homology(summand)
-            for i in range(1, n):
-                r = h.rank(i)
-                if r:
-                    ranks[i] = ranks.get(i, 0) + r
+        # Equal summands (Sng(n, g) repeats one handle g times) are computed once.
+        for summand, copies in Counter(expr.summands).items():
+            for i, r in homology(summand).ranks.items():
+                if 0 < i < n:
+                    ranks[i] = ranks.get(i, 0) + copies * r
         return GradedGroup(ranks)
     raise TypeError(f"not a manifold expression: {expr!r}")
 

@@ -45,6 +45,13 @@ class TestHomologyCommand:
         assert "dimension" in err
 
 
+    def test_deep_bracket_nesting_exits_2(self, capsys):
+        code, out, err = run(capsys, "homology", "(" * 5000 + "S2" + ")" * 5000)
+        assert code == 2
+        assert out == ""
+        assert "nested deeper" in err
+
+
 class TestPoincareCommand:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "poincare", "S3 x S1", "--format", "json")
@@ -100,6 +107,13 @@ class TestCheckFlowCommand:
         code, _, err = run(capsys, "check-flow", str(path))
         assert code == 2
         assert "counts" in err
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "flow.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run(capsys, "check-flow", str(path))
+        assert code == 2
+        assert "nested too deeply" in err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "check-flow", str(tmp_path / "absent.json"))

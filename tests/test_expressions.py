@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowtop.expressions import (
+    MAX_BRACKET_DEPTH,
     ConnSum,
     DimensionMismatchError,
     ParseError,
@@ -71,6 +72,14 @@ class TestParse:
     def test_negative_sng_genus_is_unparseable(self):
         with pytest.raises(ParseError):
             parse_manifold("Sng(3,-1)")
+
+
+    def test_bracket_depth_is_capped(self):
+        depth = MAX_BRACKET_DEPTH
+        assert parse_manifold("(" * depth + "S2" + ")" * depth) == SphereAtom(2)
+        with pytest.raises(ParseError) as info:
+            parse_manifold("(" * (depth + 1) + "S2" + ")" * (depth + 1))
+        assert info.value.position == depth
 
 
 class TestConstruction:

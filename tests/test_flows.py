@@ -221,6 +221,32 @@ class TestConnections:
         report = validate_flow(spec)
         assert not report.check("connections").passed
 
+    def test_empty_connections_leave_counted_saddles_unlabelled(self):
+        spec = flow_spec_from_json(
+            {"n": 4, "counts": [1, 1, 0, 1, 1], "connections": [], "indices": {}})
+        report = validate_flow(spec)
+        assert not report.admissible
+        detail = report.check("connections").detail
+        assert "counts[1] = 1, but only 0 saddles of index 1 are labelled" in detail
+        assert "counts[3] = 1, but only 0 saddles of index 3 are labelled" in detail
+
+    def test_more_labelled_saddles_than_counted_fails(self):
+        spec = FlowSpec(
+            4, (1, 1, 0, 1, 1),
+            connections=(
+                Connection("w", "s1"), Connection("s1", "a"),
+                Connection("w", "s2"), Connection("s2", "a"),
+                Connection("w", "r"), Connection("r", "a"),
+            ),
+            indices={"a": 0, "s1": 1, "s2": 1, "r": 3, "w": 4},
+        )
+        report = validate_flow(spec)
+        assert not report.admissible
+        connections = report.check("connections")
+        assert not connections.passed
+        assert connections.detail == (
+            "2 equilibria are labelled with Morse index 1, but counts[1] = 1")
+
     def test_count_only_specs_skip_the_check(self):
         report = validate_flow(FlowSpec(4, (1, 1, 0, 1, 1)))
         assert [c.name for c in report.checks] == CHECK_ORDER

@@ -1,8 +1,17 @@
+import importlib
 import random
 
 import pytest
 
-from flowtop.expressions import ConnSum, Product, SphereAtom, dimension, parse_manifold, s_ng
+from flowtop.expressions import (
+    ConnSum,
+    Product,
+    SphereAtom,
+    dimension,
+    parse_manifold,
+    render_manifold,
+    s_ng,
+)
 from flowtop.homology import (
     GradedGroup,
     PoincarePolynomial,
@@ -15,6 +24,9 @@ from flowtop.homology import (
 )
 
 from helpers import convolve_ranks, expr_of_dim, random_expr
+
+# The package re-exports the function under the submodule's name.
+homology_module = importlib.import_module("flowtop.homology")
 
 
 class TestGradedGroup:
@@ -218,3 +230,55 @@ class TestInvariants:
             h = homology(expr)
             assert h.rank(0) == 1
             assert h.rank(dimension(expr)) == 1
+
+
+def ungrouped_ranks(expr):
+    """Reference ranks that visit every summand of a connected sum separately."""
+    if isinstance(expr, SphereAtom):
+        return {0: 1, expr.k: 1}
+    if isinstance(expr, Product):
+        return convolve_ranks(ungrouped_ranks(expr.left), ungrouped_ranks(expr.right))
+    n = dimension(expr)
+    ranks = {0: 1, n: 1}
+    for summand in expr.summands:
+        for i, r in ungrouped_ranks(summand).items():
+            if 0 < i < n:
+                ranks[i] = ranks.get(i, 0) + r
+    return ranks
+
+
+class TestRepeatedSummands:
+    def test_sng_recursion_does_not_grow_with_genus(self, monkeypatch):
+        calls = []
+        recurse = homology_module.homology
+
+        def counting(expr):
+            calls.append(expr)
+            return recurse(expr)
+
+        monkeypatch.setattr(homology_module, "homology", counting)
+        assert homology_module.homology(s_ng(6, 1000)).ranks == {
+            0: 1, 1: 1000, 5: 1000, 6: 1}
+        assert len(calls) <= 4
+
+    def test_matches_ungrouped_reference(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            pool = [expr_of_dim(rng, n, 2) for _ in range(rng.randint(1, 3))]
+            summands = []
+            for _ in range(rng.randint(2, 40)):
+                piece = rng.choice(pool)
+                if rng.random() < 0.5:
+                    # equal to piece, but a different object
+                    piece = parse_manifold(render_manifold(piece))
+                summands.append(piece)
+            expr = ConnSum(tuple(summands))
+            expected = ungrouped_ranks(expr)
+            assert homology(expr).ranks == expected
+            rng.shuffle(summands)
+            assert homology(ConnSum(tuple(summands))).ranks == expected
+
+    def test_genus_one_million_in_closed_form(self):
+        g = 10**6
+        assert poincare_polynomial(s_ng(5, g)).coefficients == (1, g, 0, 0, g, 1)
