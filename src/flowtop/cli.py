@@ -21,7 +21,7 @@ from .flows import (
     report_to_json,
     validate_flow,
 )
-from .homology import GradedGroup, homology, poincare_polynomial
+from .homology import GradedGroup, betti, homology, poincare_polynomial
 from .simplicial import complex_from_json, simplicial_homology, triangulate
 
 DEFAULT_MAX_ORACLE_DIM = 6
@@ -88,9 +88,7 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    poly = poincare_polynomial(parse_manifold(args.expr))
-    value = poly.coefficient(args.degree) if args.degree >= 0 else 0
-    print(value)
+    print(betti(parse_manifold(args.expr), args.degree))
     return 0
 
 
@@ -269,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the result does not fit in memory", file=sys.stderr)
         return 2
 
 

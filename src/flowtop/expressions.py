@@ -9,11 +9,11 @@ test fixtures:
     atom := 'S' INT | 'Sng' '(' INT ',' INT ')' | '(' expr ')'
 
 Whitespace is insignificant, the product ``x`` binds tighter than the
-connected sum ``#``, and brackets nest at most MAX_BRACKET_DEPTH levels
-deep.  ``S<k>`` is the k-sphere, k >= 1 (S0 is disconnected and
-rejected).  ``Sng(n, g)`` is shorthand for the standard genus-g piece:
-the sphere S^n for g = 0, otherwise a connected sum of g copies of
-S^{n-1} x S^1.
+connected sum ``#``, and both brackets and the parsed tree nest at most
+MAX_BRACKET_DEPTH levels deep.  ``S<k>`` is the k-sphere, k >= 1 (S0 is
+disconnected and rejected).  ``Sng(n, g)`` is shorthand for the standard
+genus-g piece: the sphere S^n for g = 0, otherwise a connected sum of g
+copies of S^{n-1} x S^1.
 
 Everything the grammar can express is a connected closed orientable
 manifold, so no runtime orientability checks exist anywhere downstream.
@@ -147,8 +147,9 @@ def s_ng(n: int, g: int) -> ManifoldExpr:
 
 _ATOM_HINT = "'S<k>', 'Sng(<n>,<g>)' or '('"
 
-# Deepest bracket nesting the recursive-descent parser accepts; each level
-# costs three Python frames here and more in the recursive tree functions.
+# Deepest bracket nesting and tallest tree the parser accepts, as the parser
+# and the tree functions recurse per level.  The parse_* methods return each
+# subtree with its height; a chain of m factors is m - 1 levels tall.
 MAX_BRACKET_DEPTH = 100
 
 
@@ -206,28 +207,35 @@ class _Parser:
             raise ParseError(f"expected {what}", tok[2])
         return tok
 
-    def parse_expr(self) -> ManifoldExpr:
+    def parse_expr(self) -> tuple[ManifoldExpr, int]:
         terms = [self.parse_term()]
         while self.peek() == "#":
-            self.advance()
+            pos = self.advance()[2]
             terms.append(self.parse_term())
         if len(terms) == 1:
             return terms[0]
-        return ConnSum(tuple(terms))
+        # a summand that is itself a sum is flattened into this one
+        height = 1 + max(h - 1 if isinstance(t, ConnSum) else h for t, h in terms)
+        if height > MAX_BRACKET_DEPTH:
+            raise ParseError(f"expression tree deeper than {MAX_BRACKET_DEPTH} levels", pos)
+        return ConnSum(tuple(t for t, _ in terms)), height
 
-    def parse_term(self) -> ManifoldExpr:
-        node = self.parse_atom()
+    def parse_term(self) -> tuple[ManifoldExpr, int]:
+        node, height = self.parse_atom()
         while self.peek() == "x":
-            self.advance()
-            node = Product(node, self.parse_atom())
-        return node
+            pos = self.advance()[2]
+            right, right_height = self.parse_atom()
+            node, height = Product(node, right), 1 + max(height, right_height)
+            if height > MAX_BRACKET_DEPTH:
+                raise ParseError(f"expression tree deeper than {MAX_BRACKET_DEPTH} levels", pos)
+        return node, height
 
-    def parse_atom(self) -> ManifoldExpr:
+    def parse_atom(self) -> tuple[ManifoldExpr, int]:
         kind, value, pos = self.advance()
         if kind == "sphere":
             if value < 1:
                 raise ParseError("S0 is disconnected and not a valid atom", pos)
-            return SphereAtom(value)
+            return SphereAtom(value), 0
         if kind == "Sng":
             self.expect("(", "'('")
             n = self.expect("int", "an integer")[1]
@@ -235,7 +243,7 @@ class _Parser:
             g = self.expect("int", "an integer")[1]
             self.expect(")", "')'")
             try:
-                return s_ng(n, g)
+                return s_ng(n, g), min(g, 2)  # sphere, handle or sum of handles
             except ValueError as exc:
                 raise ParseError(str(exc), pos) from exc
         if kind == "(":
@@ -258,7 +266,7 @@ def parse_manifold(text: str) -> ManifoldExpr:
     dimensions.
     """
     parser = _Parser(_tokenize(text))
-    expr = parser.parse_expr()
+    expr, _ = parser.parse_expr()
     tok = parser.advance()
     if tok[0] != "end":
         raise ParseError("unexpected trailing input", tok[2])

@@ -188,8 +188,7 @@ def genus_of_counts(nu: int, mu: int) -> int:
 
 @lru_cache(maxsize=None)
 def _betti_row(n: int, g: int) -> tuple[int, ...]:
-    p = poincare_polynomial(s_ng(n, g))
-    return tuple(p.coefficient(i) for i in range(n + 1))
+    return poincare_polynomial(s_ng(n, g)).coefficients
 
 
 def check_morse_inequalities(spec: FlowSpec, g: int) -> list[tuple[int, int, int]]:

@@ -10,6 +10,10 @@ finitely many degrees, so three closed-form rules suffice:
 * connected sum of dimension n: rank 1 in degrees 0 and n, summand ranks
   added in degrees 1 through n-1.
 
+Each rule is written once, over sparse degree -> rank maps.
+PoincarePolynomial is the rank view of a torsion-free GradedGroup; only its
+dense ``coefficients`` tuple costs memory proportional to the dimension.
+
 GradedGroup also carries invariant-factor torsion even though this module
 never produces any: the simplicial verifier reuses the type and must be
 able to report torsion, e.g. for non-orientable complexes in its own test
@@ -109,78 +113,82 @@ def _check_degree(deg) -> None:
 
 
 class PoincarePolynomial:
-    """Dense polynomial with non-negative integer coefficients.
+    """Polynomial with non-negative integer coefficients, stored sparsely.
 
     Coefficient i is the i-th Betti number of whatever space the polynomial
-    describes.  Trailing zero coefficients are stripped, so ``degree`` is
-    the top non-zero degree (0 for the zero polynomial).
+    describes, kept as a GradedGroup rank map.  ``degree`` is the top
+    non-zero degree (0 for the zero polynomial).
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_ranks",)
 
     def __init__(self, coefficients: Iterable[int]):
-        cs = list(coefficients)
-        for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"coefficients must be non-negative integers, got {c!r}")
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [0]
-        self._coeffs = tuple(cs)
+        self._ranks = GradedGroup(dict(enumerate(coefficients)))._ranks
+
+    @classmethod
+    def _of(cls, ranks: Mapping[int, int]) -> "PoincarePolynomial":
+        poly = cls.__new__(cls)
+        poly._ranks = GradedGroup(ranks)._ranks
+        return poly
 
     @property
     def coefficients(self) -> tuple[int, ...]:
-        return self._coeffs
+        coeffs = [0] * (self.degree + 1)
+        for i, c in self._ranks.items():
+            coeffs[i] = c
+        return tuple(coeffs)
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return max(self._ranks, default=0)
 
     def coefficient(self, i: int) -> int:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return 0
+        return self._ranks.get(i, 0)
 
     def __mul__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
         if not isinstance(other, PoincarePolynomial):
             return NotImplemented
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for a, x in enumerate(self._coeffs):
-            if x:
-                for b, y in enumerate(other._coeffs):
-                    if y:
-                        out[a + b] += x * y
-        return PoincarePolynomial(out)
+        return PoincarePolynomial._of(_convolve(self._ranks, other._ranks))
 
     def __call__(self, t: int) -> int:
-        value = 0
-        for c in reversed(self._coeffs):
-            value = value * t + c
-        return value
+        return sum(c * t ** i for i, c in self._ranks.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PoincarePolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._ranks == other._ranks
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(tuple(self._ranks.items()))
 
     def __repr__(self) -> str:
-        return f"PoincarePolynomial({list(self._coeffs)!r})"
+        return f"PoincarePolynomial({list(self.coefficients)!r})"
 
     def __str__(self) -> str:
         terms = []
-        for i, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                t = "t" if i == 1 else f"t^{i}"
-                terms.append(t if c == 1 else f"{c}{t}")
-        return " + ".join(terms) if terms else "0"
+        for i, c in self._ranks.items():
+            t = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+            terms.append(t if c == 1 and t else f"{c}{t}")
+        return " + ".join(terms) or "0"
+
+
+def _convolve(left: Mapping[int, int], right: Mapping[int, int]) -> dict[int, int]:
+    """Product rule: degree-wise convolution of two rank maps."""
+    ranks: dict[int, int] = {}
+    for a, x in left.items():
+        for b, y in right.items():
+            ranks[a + b] = ranks.get(a + b, 0) + x * y
+    return ranks
+
+
+def _connected_sum(parts: Iterable[tuple[Mapping[int, int], int]], n: int) -> dict[int, int]:
+    """Connected-sum rule over (ranks, copies) pairs of n-dimensional summands."""
+    ranks = {0: 1, n: 1}
+    for part, copies in parts:
+        for i, r in part.items():
+            if 0 < i < n:
+                ranks[i] = ranks.get(i, 0) + copies * r
+    return ranks
 
 
 def homology(expr: ManifoldExpr) -> GradedGroup:
@@ -192,28 +200,18 @@ def homology(expr: ManifoldExpr) -> GradedGroup:
         right = homology(expr.right)
         if not (left.is_torsion_free and right.is_torsion_free):
             raise ValueError("rank convolution requires torsion-free factors")
-        ranks: dict[int, int] = {}
-        for a, x in left.ranks.items():
-            for b, y in right.ranks.items():
-                ranks[a + b] = ranks.get(a + b, 0) + x * y
-        return GradedGroup(ranks)
+        return GradedGroup(_convolve(left._ranks, right._ranks))
     if isinstance(expr, ConnSum):
-        n = dimension(expr)
-        ranks = {0: 1, n: 1}
         # Equal summands (Sng(n, g) repeats one handle g times) are computed once.
-        for summand, copies in Counter(expr.summands).items():
-            for i, r in homology(summand).ranks.items():
-                if 0 < i < n:
-                    ranks[i] = ranks.get(i, 0) + copies * r
-        return GradedGroup(ranks)
+        copies = Counter(expr.summands)
+        parts = ((homology(s)._ranks, k) for s, k in copies.items())
+        return GradedGroup(_connected_sum(parts, dimension(expr)))
     raise TypeError(f"not a manifold expression: {expr!r}")
 
 
 def poincare_polynomial(expr: ManifoldExpr) -> PoincarePolynomial:
     """Sum of betti(expr, i) * t^i over degrees 0..dimension(expr)."""
-    h = homology(expr)
-    n = dimension(expr)
-    return PoincarePolynomial([h.rank(i) for i in range(n + 1)])
+    return PoincarePolynomial._of(homology(expr)._ranks)
 
 
 def poly_product(p: PoincarePolynomial, q: PoincarePolynomial) -> PoincarePolynomial:
@@ -240,18 +238,12 @@ def connected_sum_poly(polys: Iterable[PoincarePolynomial], n: int) -> PoincareP
             raise ValueError(
                 "summand polynomial must have coefficient 1 in degrees 0 and "
                 f"{n}, got {p!r}")
-    coeffs = [0] * (n + 1)
-    coeffs[0] = coeffs[n] = 1
-    for i in range(1, n):
-        coeffs[i] = sum(p.coefficient(i) for p in ps)
-    return PoincarePolynomial(coeffs)
+    return PoincarePolynomial._of(_connected_sum(((p._ranks, 1) for p in ps), n))
 
 
 def betti(expr: ManifoldExpr, i: int) -> int:
     """Rank of the i-th homology group; 0 outside degrees 0..dimension."""
-    if i < 0:
-        return 0
-    return poincare_polynomial(expr).coefficient(i)
+    return homology(expr).rank(i)
 
 
 def euler_characteristic(expr: ManifoldExpr) -> int:

@@ -1,6 +1,9 @@
 """Shared test helpers: random expression trees, exact rational rank as an
-independent check on Smith normal form, and random unimodular matrices."""
+independent check on Smith normal form, random unimodular matrices, and a
+temporary address-space cap."""
 
+import contextlib
+import resource
 from fractions import Fraction
 
 from flowtop.expressions import ConnSum, Product, SphereAtom
@@ -24,6 +27,16 @@ def expr_of_dim(rng, dim, depth):
 
 def random_expr(rng, max_depth=5, max_dim=8):
     return expr_of_dim(rng, rng.randint(1, max_dim), rng.randint(0, max_depth))
+
+
+def nested_chains(levels, factors):
+    """Expression text of `levels` bracket levels, each holding a chain of
+    `factors` copies of S1 whose last factor is the next level; its tree is
+    factors - 1 + levels tall."""
+    text = " x ".join(["S1"] * factors)
+    for _ in range(levels):
+        text = "S1 x " * (factors - 1) + "(" + text + ")"
+    return text
 
 
 def rank_over_Q(rows, ncols):
@@ -90,3 +103,23 @@ def convolve_ranks(r1, r2):
         for b, y in r2.items():
             out[a + b] = out.get(a + b, 0) + x * y
     return out
+
+
+@contextlib.contextmanager
+def address_space_cap(extra=2**30):
+    """Cap this process's address space at its current size plus `extra` bytes.
+
+    A test of an input whose dense form would fill the machine then fails
+    with MemoryError instead of exhausting memory, whatever the
+    overcommit policy.
+    """
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        cap = int(fh.read().split()[0]) * resource.getpagesize() + extra
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

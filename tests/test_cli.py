@@ -5,6 +5,8 @@ import pytest
 from flowtop.cli import crosscheck_rows, main
 from flowtop.homology import GradedGroup
 
+from helpers import address_space_cap, nested_chains
+
 ADMISSIBLE_SPEC = {"n": 4, "counts": [1, 1, 0, 1, 1], "no_heteroclinic": True}
 INADMISSIBLE_SPEC = {"n": 5, "counts": [1, 0, 1, 0, 0, 1], "no_heteroclinic": True}
 
@@ -51,6 +53,16 @@ class TestHomologyCommand:
         assert out == ""
         assert "nested deeper" in err
 
+    @pytest.mark.parametrize("text", [
+        " x ".join(["S1"] * 2000),
+        nested_chains(89, 90),
+    ], ids=["flat-chain", "nested-chains"])
+    def test_deep_product_chain_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "homology", text)
+        assert code == 2
+        assert out == ""
+        assert "tree deeper" in err
+
 
 class TestPoincareCommand:
     def test_json(self, capsys):
@@ -59,6 +71,14 @@ class TestPoincareCommand:
         doc = json.loads(out)
         assert doc["coefficients"] == [1, 1, 0, 1, 1]
         assert doc["pretty"] == "1 + t + t^3 + t^4"
+
+    def test_unallocatable_coefficient_list_exits_2(self, capsys):
+        # The dense list of S999999999999 would take about 8 TB.
+        with address_space_cap():
+            code, out, err = run(capsys, "poincare", "S999999999999")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestBettiCommand:
@@ -71,6 +91,12 @@ class TestBettiCommand:
         code, out, _ = run(capsys, "betti", "S3", "--degree", "7")
         assert code == 0
         assert out.strip() == "0"
+
+    def test_huge_dimension_needs_no_dense_list(self, capsys):
+        with address_space_cap():
+            code, out, _ = run(capsys, "betti", "S999999999", "--degree", "999999999")
+        assert code == 0
+        assert out.strip() == "1"
 
 
 class TestCheckFlowCommand:

@@ -16,7 +16,14 @@ from flowtop.expressions import (
     s_ng,
 )
 
-from helpers import random_expr
+from helpers import nested_chains, random_expr
+
+
+def tree_height(expr):
+    if isinstance(expr, SphereAtom):
+        return 0
+    children = (expr.left, expr.right) if isinstance(expr, Product) else expr.summands
+    return 1 + max(map(tree_height, children))
 
 S1 = SphereAtom(1)
 S2 = SphereAtom(2)
@@ -80,6 +87,36 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse_manifold("(" * (depth + 1) + "S2" + ")" * (depth + 1))
         assert info.value.position == depth
+
+    def test_flat_product_chain_is_capped(self):
+        # A chain of m factors is a left-nested tree m - 1 levels tall.
+        top = MAX_BRACKET_DEPTH
+        assert tree_height(parse_manifold(" x ".join(["S1"] * (top + 1)))) == top
+        with pytest.raises(ParseError) as info:
+            parse_manifold(" x ".join(["S1"] * (top + 2)))
+        assert info.value.position == 5 * (top + 1) - 2  # the 'x' past the cap
+        with pytest.raises(ParseError):
+            parse_manifold(" x ".join(["S1"] * 2000))
+
+    @pytest.mark.parametrize("wraps", [41, 42, 90])
+    def test_chains_nested_in_brackets_are_capped(self, wraps):
+        # Every level is within both the bracket cap and a chain-length cap,
+        # yet each one adds a level to the tree.
+        text = nested_chains(wraps, 60)
+        if 59 + wraps <= MAX_BRACKET_DEPTH:
+            assert tree_height(parse_manifold(text)) == 59 + wraps
+        else:
+            with pytest.raises(ParseError, match="tree deeper"):
+                parse_manifold(text)
+
+    def test_sum_height_counts_flattened_summands(self):
+        top = MAX_BRACKET_DEPTH
+        chain = " x ".join(["S1"] * top)  # dimension top, top - 1 levels
+        # Nested sums flatten into one ConnSum, which adds a single level.
+        assert tree_height(parse_manifold(f"(({chain} # S{top}) # S{top}) # S{top}")) == top
+        for text in (f"{chain} x S1 # S{top + 1}", f"({chain} # S{top}) x S1"):
+            with pytest.raises(ParseError, match="tree deeper"):
+                parse_manifold(text)
 
 
 class TestConstruction:

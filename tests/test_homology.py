@@ -1,5 +1,6 @@
 import importlib
 import random
+import time
 
 import pytest
 
@@ -23,7 +24,7 @@ from flowtop.homology import (
     poly_product,
 )
 
-from helpers import convolve_ranks, expr_of_dim, random_expr
+from helpers import address_space_cap, convolve_ranks, expr_of_dim, random_expr
 
 # The package re-exports the function under the submodule's name.
 homology_module = importlib.import_module("flowtop.homology")
@@ -111,6 +112,23 @@ class TestPoincare:
             y = random_expr(rng, max_depth=3, max_dim=4)
             assert poincare_polynomial(Product(x, y)) == poly_product(
                 poincare_polynomial(x), poincare_polynomial(y))
+
+    def test_agrees_with_connected_sum_poly_on_sums(self):
+        rng = random.Random(100)
+        for _ in range(50):
+            n = rng.randint(2, 6)
+            summands = [expr_of_dim(rng, n, 3) for _ in range(rng.randint(2, 4))]
+            assert poincare_polynomial(ConnSum(tuple(summands))) == connected_sum_poly(
+                [poincare_polynomial(s) for s in summands], n)
+
+    def test_huge_dimension_in_closed_form(self):
+        k = 10**12
+        start = time.perf_counter()
+        with address_space_cap():
+            assert betti(SphereAtom(k), k) == 1
+            assert euler_characteristic(SphereAtom(k)) == 2
+            assert str(poincare_polynomial(SphereAtom(k))) == "1 + t^1000000000000"
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPolyProduct:
