@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any
 
@@ -263,14 +264,24 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse has already written its message (exit 2 on bad usage)
         return int(exc.code or 0)
+    status = 0
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): not an input error.  Point the
+        # descriptor at devnull so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return status
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: the result does not fit in memory", file=sys.stderr)
         return 2
+    return status
 
 
 def entry() -> None:

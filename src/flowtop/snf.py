@@ -1,12 +1,13 @@
 """Exact integer matrices and Smith normal form.
 
 All arithmetic uses Python integers, so entries may grow freely during
-elimination without overflow.  The elimination strategy: pick the nonzero
-entry of smallest absolute value as pivot, clear its row and column with
-Euclidean steps, and repair divisibility violations by adding the
-offending row to the pivot row.  Keeping the pivot minimal bounds the
-intermediate coefficient growth well enough for the matrix sizes this
-package meets, with no need for modular techniques.
+elimination without overflow.  One pivot rule: the pivot is a nonzero
+entry of least absolute value, first of the trailing submatrix, then of the
+remainders that Euclidean steps leave in its column (cleared first) or row;
+it is moved to the diagonal and made positive in one place.  Divisibility
+violations are repaired by adding the offending row to the pivot row.
+Keeping the pivot minimal bounds the intermediate coefficient growth well
+enough for the matrix sizes this package meets, with no modular techniques.
 """
 
 from __future__ import annotations
@@ -175,11 +176,6 @@ def _smith(d: list[list[int]], m: int, n: int,
             src_row = u[src]
             u[tgt] = [x - q * y for x, y in zip(u[tgt], src_row)]
 
-    def row_add(tgt: int, src: int) -> None:
-        d[tgt] = [x + y for x, y in zip(d[tgt], d[src])]
-        if u is not None:
-            u[tgt] = [x + y for x, y in zip(u[tgt], u[src])]
-
     def col_reduce(tgt: int, src: int, q: int) -> None:
         for row in d:
             if row[src]:
@@ -210,78 +206,50 @@ def _smith(d: list[list[int]], m: int, n: int,
                 break
         if best == 0:
             break
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        if d[t][t] < 0:
-            negate_row(t)
 
         while True:
+            # The one place a pivot is placed: (bi, bj) moves to (t, t), positive.
+            if bi != t:
+                swap_rows(t, bi)
+            if bj != t:
+                swap_cols(t, bj)
+            if d[t][t] < 0:
+                negate_row(t)
             pivot = d[t][t]
-            # Euclidean reduction of the column under the pivot.
-            leftover = False
+            # Euclidean steps down the column, then along the row.  Floor
+            # division leaves remainders in [0, pivot), so the smallest one
+            # left over is a strictly smaller next pivot.
+            rest = []
             for i in range(t + 1, m):
-                e = d[i][t]
-                if e:
-                    q = e // pivot
-                    if q:
+                if d[i][t]:
+                    if q := d[i][t] // pivot:
                         row_reduce(i, t, q)
                     if d[i][t]:
-                        leftover = True
-            if leftover:
-                bi, bv = t, d[t][t]
-                for i in range(t + 1, m):
-                    e = d[i][t]
-                    if e:
-                        e = abs(e)
-                        if e < bv:
-                            bv, bi = e, i
-                if bi != t:
-                    swap_rows(t, bi)
-                if d[t][t] < 0:
-                    negate_row(t)
+                        rest.append(i)
+            if rest:
+                bi, bj = min(rest, key=lambda i: d[i][t]), t
                 continue
-            # Euclidean reduction of the row right of the pivot.
-            leftover = False
             row_t = d[t]
+            rest = []
             for j in range(t + 1, n):
-                e = row_t[j]
-                if e:
-                    q = e // pivot
-                    if q:
+                if row_t[j]:
+                    if q := row_t[j] // pivot:
                         col_reduce(j, t, q)
                     if row_t[j]:
-                        leftover = True
-            if leftover:
-                bj, bv = t, d[t][t]
-                for j in range(t + 1, n):
-                    e = row_t[j]
-                    if e:
-                        e = abs(e)
-                        if e < bv:
-                            bv, bj = e, j
-                if bj != t:
-                    swap_cols(t, bj)
-                if d[t][t] < 0:
-                    negate_row(t)
+                        rest.append(j)
+            if rest:
+                bi, bj = t, min(rest, key=row_t.__getitem__)
                 continue
-            pivot = d[t][t]
+            # The pivot must divide everything in the trailing submatrix;
+            # otherwise add the first offending row to the pivot row.
+            offender = None
             if pivot != 1:
-                # The pivot must divide everything in the trailing submatrix.
-                offender = -1
-                for i in range(t + 1, m):
-                    row = d[i]
-                    for j in range(t + 1, n):
-                        if row[j] % pivot:
-                            offender = i
-                            break
-                    if offender >= 0:
-                        break
-                if offender >= 0:
-                    row_add(t, offender)
-                    continue
-            break
+                offender = next((i for i in range(t + 1, m)
+                                 if any(x % pivot for x in d[i][t + 1:])), None)
+            if offender is None:
+                break
+            row_reduce(t, offender, -1)
+            bi = bj = t
         t += 1
 
 

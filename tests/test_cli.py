@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import flowtop
 from flowtop.cli import crosscheck_rows, main
 from flowtop.homology import GradedGroup
 
@@ -165,6 +172,22 @@ class TestEnumerateCommand:
         code, _, err = run(capsys, "enumerate", "--n", "3", "--g", "0", "--k-max", "0")
         assert code == 2
 
+    def test_closed_output_pipe_exits_0(self):
+        # About 150 kB of output: more than a pipe holds, so the writer
+        # meets the closed pipe after the reader has gone.
+        src = os.path.dirname(os.path.dirname(flowtop.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "flowtop", "enumerate", "--n", "8", "--g", "5",
+             "--k-max", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert json.loads(first)["c"][0] == 1
+        assert err == b""
+
 
 class TestObstructionCommand:
     def test_forbidden_with_reason(self, capsys):
@@ -279,3 +302,101 @@ class TestArgumentErrors:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "homology" in out
+
+
+def expression_texts(max_dim, max_genus, max_leaves):
+    """Expression strings: trees of bounded atoms (now and then an invalid
+    one such as S0), and raw text over the grammar's alphabet."""
+    atom = st.one_of(
+        st.integers(1, max_dim).map("S{}".format),
+        st.builds("Sng({},{})".format, st.integers(2, max_dim), st.integers(0, max_genus)),
+        st.sampled_from(["S0", "Sng(1,1)", "S", "Sng(3)", ")"]))
+    tree = st.recursive(atom, lambda inner: st.one_of(
+        st.builds("{}{}{}".format, inner, st.sampled_from([" x ", "#", " # ", "x"]), inner),
+        inner.map("({})".format)), max_leaves=max_leaves)
+    return st.one_of(tree, tree, st.text(alphabet="Sng()#x, 0123456789", max_size=16))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.text("abs01", max_size=3),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text("abs01", max_size=3),
+                                                                inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def flow_specs(draw):
+    """Flow spec documents of the right shape: counts of length n + 1, and
+    now and then labelled connections with their indices."""
+    n = draw(st.integers(2, 7))
+    ends = st.sampled_from([1, 2, 1, 0])
+    inner = st.lists(st.sampled_from([0, 1, 2, 0, 3]), min_size=n - 1, max_size=n - 1)
+    doc = {"n": n, "counts": [draw(ends), *draw(inner), draw(ends)]}
+    if draw(st.booleans()):
+        doc["no_heteroclinic"] = draw(st.booleans())
+    if draw(st.booleans()):
+        names = [f"p{i}" for i in range(draw(st.integers(0, 4)))]
+        doc["indices"] = {name: draw(st.integers(-1, n + 1)) for name in names}
+        label = st.sampled_from(names + ["q"])
+        doc["connections"] = draw(st.lists(
+            st.fixed_dictionaries({"from": label, "to": label}), max_size=4))
+    return doc
+
+
+# A spec with one field replaced by an arbitrary JSON value, or any JSON at all.
+flow_documents = st.one_of(
+    flow_specs(), flow_specs(),
+    st.builds(lambda doc, key, value: {**doc, key: value}, flow_specs(),
+              st.sampled_from(["n", "counts", "no_heteroclinic", "connections", "indices"]),
+              json_values),
+    json_values)
+
+engine_argv = st.one_of(
+    st.tuples(st.sampled_from(["homology", "poincare"]), expression_texts(12, 30, 6)),
+    st.tuples(st.just("betti"), expression_texts(12, 30, 6),
+              st.just("--degree"), st.integers(-2, 80).map(str)))
+
+oracle_argv = st.tuples(st.sampled_from(["oracle", "crosscheck"]),
+                        expression_texts(4, 4, 3), st.just("--max-dim"), st.just("4"))
+
+
+def run_main(argv):
+    err = io.StringIO()
+    with address_space_cap(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def assert_contract(argv, code, err):
+    """Exit 0, 1 or 2 and nothing else; 1 only where it means a failed
+    validation; 2 with a one-line error."""
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert argv[0] in ("check-flow", "crosscheck"), argv
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
+
+
+class TestMainFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(engine_argv, st.sampled_from(["json", "human"]))
+    def test_engine_commands(self, argv, fmt):
+        code, err = run_main(argv + ("--format", fmt))
+        assert_contract(argv, code, err)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(oracle_argv)
+    def test_oracle_commands(self, argv):
+        code, err = run_main(argv)
+        assert_contract(argv, code, err)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(flow_documents)
+    def test_check_flow(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "fuzz_spec.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_main(("check-flow", str(path)))
+        assert_contract(("check-flow",), code, err)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -131,3 +132,20 @@ class TestSmithNormalForm:
             assert P.determinant() in (1, -1)
             assert Q.determinant() in (1, -1)
             assert smith_diagonal(P @ A @ Q) == smith_diagonal(A)
+
+    def test_property_suite_without_unit_entries(self):
+        # The residual shape the oracle sends here: no entry is +-1, so the
+        # column and row re-picks and the divisibility repair all run.
+        rng = random.Random(20261018)
+        values = [0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9, 12, -12]
+        for _ in range(150):
+            m = rng.randint(1, 10)
+            n = rng.randint(1, 12)
+            rows = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+            A = IntegerMatrix(rows)
+            D, _, _ = assert_valid_snf(A)
+            diag = D.diagonal()
+            assert smith_diagonal(A) == diag
+            assert diag[0] == math.gcd(*(x for row in rows for x in row))
+            if m == n:
+                assert math.prod(diag) == abs(det_over_Q(rows))
