@@ -21,7 +21,7 @@ manifold, so no runtime orientability checks exist anywhere downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "ConnSum",
@@ -55,6 +55,7 @@ class SphereAtom:
     """The k-sphere, k >= 1."""
 
     k: int
+    height = 0  # a leaf; Product and ConnSum store their height as a field
 
     def __post_init__(self):
         if not isinstance(self.k, int) or isinstance(self.k, bool):
@@ -69,10 +70,12 @@ class Product:
 
     left: "ManifoldExpr"
     right: "ManifoldExpr"
+    height: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_expr(self.left)
         _check_expr(self.right)
+        _set_height(self, max(self.left.height, self.right.height))
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,7 @@ class ConnSum:
     """
 
     summands: tuple["ManifoldExpr", ...]
+    height: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         given = tuple(self.summands)
@@ -97,12 +101,14 @@ class ConnSum:
                 flat.extend(s.summands)
             else:
                 flat.append(s)
-        dims = sorted({dimension(s) for s in flat})
+        distinct = {id(s): s for s in flat}.values()  # Sng(n, g) repeats one summand
+        dims = sorted({dimension(s) for s in distinct})
         if len(dims) != 1:
             raise DimensionMismatchError(
                 f"connected-sum summands must have equal dimensions, got {dims}")
         if dims[0] < 2:
             raise ValueError("connected sums are defined in dimension >= 2")
+        _set_height(self, max(s.height for s in distinct))
         object.__setattr__(self, "summands", tuple(flat))
 
 
@@ -112,6 +118,13 @@ ManifoldExpr = SphereAtom | Product | ConnSum
 def _check_expr(x) -> None:
     if not isinstance(x, (SphereAtom, Product, ConnSum)):
         raise TypeError(f"not a manifold expression: {x!r}")
+
+
+def _set_height(node, below: int) -> None:
+    """Record a node one level above its tallest child, within the cap."""
+    if below >= MAX_BRACKET_DEPTH:
+        raise ValueError(f"expression tree deeper than {MAX_BRACKET_DEPTH} levels")
+    object.__setattr__(node, "height", below + 1)
 
 
 def dimension(expr: ManifoldExpr) -> int:
@@ -147,10 +160,21 @@ def s_ng(n: int, g: int) -> ManifoldExpr:
 
 _ATOM_HINT = "'S<k>', 'Sng(<n>,<g>)' or '('"
 
-# Deepest bracket nesting and tallest tree the parser accepts, as the parser
-# and the tree functions recurse per level.  The parse_* methods return each
-# subtree with its height; a chain of m factors is m - 1 levels tall.
+# Deepest bracket nesting the parser accepts and tallest tree that Product and
+# ConnSum build, as the parser and the tree functions recurse per level.  A
+# chain of m factors is m - 1 levels tall.
 MAX_BRACKET_DEPTH = 100
+
+
+def _build(node_type, pos: int, *args) -> ManifoldExpr:
+    """A Product or ConnSum node; a tree over the height cap is a ParseError
+    at ``pos``, while a dimension mismatch propagates as it is."""
+    try:
+        return node_type(*args)
+    except DimensionMismatchError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), pos) from exc
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -207,35 +231,28 @@ class _Parser:
             raise ParseError(f"expected {what}", tok[2])
         return tok
 
-    def parse_expr(self) -> tuple[ManifoldExpr, int]:
+    def parse_expr(self) -> ManifoldExpr:
         terms = [self.parse_term()]
         while self.peek() == "#":
             pos = self.advance()[2]
             terms.append(self.parse_term())
         if len(terms) == 1:
             return terms[0]
-        # a summand that is itself a sum is flattened into this one
-        height = 1 + max(h - 1 if isinstance(t, ConnSum) else h for t, h in terms)
-        if height > MAX_BRACKET_DEPTH:
-            raise ParseError(f"expression tree deeper than {MAX_BRACKET_DEPTH} levels", pos)
-        return ConnSum(tuple(t for t, _ in terms)), height
+        return _build(ConnSum, pos, tuple(terms))
 
-    def parse_term(self) -> tuple[ManifoldExpr, int]:
-        node, height = self.parse_atom()
+    def parse_term(self) -> ManifoldExpr:
+        node = self.parse_atom()
         while self.peek() == "x":
             pos = self.advance()[2]
-            right, right_height = self.parse_atom()
-            node, height = Product(node, right), 1 + max(height, right_height)
-            if height > MAX_BRACKET_DEPTH:
-                raise ParseError(f"expression tree deeper than {MAX_BRACKET_DEPTH} levels", pos)
-        return node, height
+            node = _build(Product, pos, node, self.parse_atom())
+        return node
 
-    def parse_atom(self) -> tuple[ManifoldExpr, int]:
+    def parse_atom(self) -> ManifoldExpr:
         kind, value, pos = self.advance()
         if kind == "sphere":
             if value < 1:
                 raise ParseError("S0 is disconnected and not a valid atom", pos)
-            return SphereAtom(value), 0
+            return SphereAtom(value)
         if kind == "Sng":
             self.expect("(", "'('")
             n = self.expect("int", "an integer")[1]
@@ -243,7 +260,7 @@ class _Parser:
             g = self.expect("int", "an integer")[1]
             self.expect(")", "')'")
             try:
-                return s_ng(n, g), min(g, 2)  # sphere, handle or sum of handles
+                return s_ng(n, g)
             except ValueError as exc:
                 raise ParseError(str(exc), pos) from exc
         if kind == "(":
@@ -266,7 +283,7 @@ def parse_manifold(text: str) -> ManifoldExpr:
     dimensions.
     """
     parser = _Parser(_tokenize(text))
-    expr, _ = parser.parse_expr()
+    expr = parser.parse_expr()
     tok = parser.advance()
     if tok[0] != "end":
         raise ParseError("unexpected trailing input", tok[2])

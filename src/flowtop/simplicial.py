@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Any
 
 from .expressions import ConnSum, ManifoldExpr, Product, SphereAtom, dimension
@@ -133,20 +133,17 @@ class SimplicialComplex:
             yield [(row_of[simplex[:j] + simplex[j + 1:]], signs[j]) for j in range(i + 1)]
 
     def boundary_matrix(self, i: int) -> IntegerMatrix:
-        """Dense matrix of the i-th boundary operator, 1 <= i <= dim.
+        """Sparse matrix of the i-th boundary operator, 1 <= i <= dim.
 
         Rows are indexed by the (i-1)-simplices and columns by the
         i-simplices, both in lexicographic order; the entry for dropping
-        the j-th vertex is (-1)^j.
+        the j-th vertex is (-1)^j.  Only the i + 1 nonzero entries of each
+        column are stored.
         """
         if not 1 <= i <= self.dim:
             raise ValueError(f"boundary degree must lie in 1..{self.dim}, got {i}")
-        ncols = len(self._simplices[i])
-        mat = [[0] * ncols for _ in self._simplices[i - 1]]
-        for c, entries in enumerate(self._boundary_columns(i)):
-            for r, sign in entries:
-                mat[r][c] = sign
-        return IntegerMatrix(mat, ncols=ncols)
+        return IntegerMatrix.from_columns(map(dict, self._boundary_columns(i)),
+                                          len(self._simplices[i - 1]))
 
     def __repr__(self) -> str:
         counts = [len(level) for level in self._simplices]
@@ -205,9 +202,9 @@ def eliminate_unit_pivots(columns: list[dict[int, int]], nrows: int) -> tuple[in
         columns[c] = {}
         pivots += 1
     left = [col for col in columns if col]
-    touched = sorted({r for col in left for r in col})
-    residual = [[col.get(r, 0) for col in left] for r in touched]
-    return pivots, IntegerMatrix(residual, ncols=len(left))
+    renumber = {r: k for k, r in enumerate(sorted({r for col in left for r in col}))}
+    residual = ({renumber[r]: x for r, x in col.items()} for col in left)
+    return pivots, IntegerMatrix.from_columns(residual, len(renumber))
 
 
 def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
@@ -376,4 +373,7 @@ def complex_from_json(data: Any) -> SimplicialComplex:
     for f in facets:
         if not isinstance(f, list):
             raise ValueError("each facet must be a list of vertex labels")
+    kinds = set(map(type, chain(vertices, *facets)))
+    if list in kinds or dict in kinds:
+        raise ValueError("vertex labels must be JSON scalars, not lists or objects")
     return SimplicialComplex(vertices, facets)

@@ -12,7 +12,7 @@ enough for the matrix sizes this package meets, with no modular techniques.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 __all__ = [
     "IntegerMatrix",
@@ -21,10 +21,20 @@ __all__ = [
 ]
 
 
-class IntegerMatrix:
-    """Immutable rows-by-columns matrix of arbitrary-precision integers."""
+def _check_entry(x) -> None:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"matrix entries must be integers, got {x!r}")
 
-    __slots__ = ("_rows", "_ncols")
+
+class IntegerMatrix:
+    """Immutable matrix of arbitrary-precision integers, stored as sparse columns.
+
+    Column j is a dict from row index to nonzero entry.  Zeros are never
+    stored, so checking, comparing and multiplying a matrix built by
+    :meth:`from_columns` costs O(nonzeros), not O(rows x columns).
+    """
+
+    __slots__ = ("_cols", "_nrows")
 
     def __init__(self, rows: Iterable[Sequence[int]], ncols: int | None = None):
         data = [list(row) for row in rows]
@@ -35,83 +45,124 @@ class IntegerMatrix:
         else:
             if ncols is None:
                 raise ValueError("a matrix with no rows needs an explicit ncols")
+            if ncols < 0:
+                raise ValueError(f"ncols must be non-negative, got {ncols}")
             width = ncols
-        for row in data:
+        cols: list[dict[int, int]] = [{} for _ in range(width)]
+        for i, row in enumerate(data):
             if len(row) != width:
                 raise ValueError("all rows must have the same length")
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise TypeError(f"matrix entries must be integers, got {x!r}")
-        self._rows = data
-        self._ncols = width
+            for j, x in enumerate(row):
+                if type(x) is not int:
+                    _check_entry(x)
+                if x:
+                    cols[j][i] = x
+        self._cols = cols
+        self._nrows = len(data)
+
+    @classmethod
+    def from_columns(cls, columns: Iterable[Mapping[int, int]], nrows: int) -> "IntegerMatrix":
+        """Matrix whose j-th column maps row indices to entries; zeros are dropped.
+
+        Entries are checked as the row constructor checks them, and every
+        row index must be an integer in 0..nrows-1.
+        """
+        if not isinstance(nrows, int) or isinstance(nrows, bool):
+            raise TypeError(f"nrows must be an integer, got {nrows!r}")
+        if nrows < 0:
+            raise ValueError(f"nrows must be non-negative, got {nrows}")
+        cols = []
+        for column in columns:
+            col = {}
+            for r, x in column.items():
+                if type(r) is not int and (not isinstance(r, int) or isinstance(r, bool)):
+                    raise TypeError(f"row indices must be integers, got {r!r}")
+                if not 0 <= r < nrows:
+                    raise ValueError(f"row index {r} is outside 0..{nrows - 1}")
+                if type(x) is not int:
+                    _check_entry(x)
+                if x:
+                    col[r] = x
+            cols.append(col)
+        matrix = object.__new__(cls)
+        matrix._cols = cols
+        matrix._nrows = nrows
+        return matrix
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], ncols=n)
+        return cls.from_columns(({j: 1} for j in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntegerMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls.from_columns([{}] * ncols, nrows)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self._rows), self._ncols)
+        return (self._nrows, len(self._cols))
 
     @property
     def nrows(self) -> int:
-        return len(self._rows)
+        return self._nrows
 
     @property
     def ncols(self) -> int:
-        return self._ncols
+        return len(self._cols)
+
+    def _row_index(self, i: int) -> int:
+        if not -self._nrows <= i < self._nrows:
+            raise IndexError(f"row index {i} out of range for {self._nrows} rows")
+        return i % self._nrows
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
-        return self._rows[i][j]
+        return self._cols[j].get(self._row_index(i), 0)
 
     def tolists(self) -> list[list[int]]:
-        return [row[:] for row in self._rows]
+        out = [[0] * len(self._cols) for _ in range(self._nrows)]
+        for j, col in enumerate(self._cols):
+            for i, x in col.items():
+                out[i][j] = x
+        return out
 
     def row(self, i: int) -> tuple[int, ...]:
-        return tuple(self._rows[i])
+        i = self._row_index(i)
+        return tuple(col.get(i, 0) for col in self._cols)
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self._rows)
+        col = self._cols[j]
+        return tuple(col.get(i, 0) for i in range(self._nrows))
 
     def diagonal(self) -> list[int]:
-        return [self._rows[i][i] for i in range(min(self.shape))]
+        return [self._cols[i].get(i, 0) for i in range(min(self.shape))]
 
     def is_diagonal(self) -> bool:
-        return all(x == 0
-                   for i, row in enumerate(self._rows)
-                   for j, x in enumerate(row) if i != j)
+        return all(col.keys() <= {j} for j, col in enumerate(self._cols))
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
-        if self._ncols != other.nrows:
+        if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        out = [[0] * other._ncols for _ in self._rows]
-        for i, arow in enumerate(self._rows):
-            orow = out[i]
-            for k, aik in enumerate(arow):
-                if aik:
-                    brow = other._rows[k]
-                    for j, bkj in enumerate(brow):
-                        if bkj:
-                            orow[j] += aik * bkj
-        return IntegerMatrix(out, ncols=other._ncols)
+        out = []
+        for bcol in other._cols:
+            acc: dict[int, int] = {}
+            for k, bkj in bcol.items():
+                for i, aik in self._cols[k].items():
+                    acc[i] = acc.get(i, 0) + aik * bkj
+            out.append(acc)
+        return IntegerMatrix.from_columns(out, self._nrows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
-        return self._ncols == other._ncols and self._rows == other._rows
+        return self._nrows == other._nrows and self._cols == other._cols
 
     def __hash__(self) -> int:
-        return hash((self._ncols, tuple(map(tuple, self._rows))))
+        return hash((self._nrows, tuple(frozenset(col.items()) for col in self._cols)))
 
     def __repr__(self) -> str:
-        return f"IntegerMatrix({self._rows!r})"
+        return f"IntegerMatrix({self.tolists()!r})"
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""

@@ -351,6 +351,26 @@ flow_documents = st.one_of(
               json_values),
     json_values)
 
+@st.composite
+def complex_specs(draw):
+    """Complex documents of the right shape: scalar labels, facets of up to
+    four of them, now and then one that is not a vertex."""
+    labels = draw(st.lists(st.integers(0, 6) | st.text("abc", max_size=2),
+                           min_size=1, max_size=7, unique=True))
+    label = st.sampled_from(labels + [7])
+    facets = draw(st.lists(st.lists(label, min_size=1, max_size=4), max_size=6))
+    return {"vertices": labels, "facets": facets}
+
+
+# A complex with one field replaced by an arbitrary JSON value, or any JSON at all.
+complex_documents = st.one_of(
+    complex_specs(), complex_specs(),
+    st.builds(lambda doc, key, value: {**doc, key: value}, complex_specs(),
+              st.sampled_from(["vertices", "facets"]), json_values),
+    st.builds(lambda doc, value: {**doc, "facets": [*doc["facets"], [value]]},
+              complex_specs(), json_values),
+    json_values)
+
 engine_argv = st.one_of(
     st.tuples(st.sampled_from(["homology", "poincare"]), expression_texts(12, 30, 6)),
     st.tuples(st.just("betti"), expression_texts(12, 30, 6),
@@ -400,3 +420,11 @@ class TestMainFuzz:
         path.write_text(json.dumps(doc))
         code, err = run_main(("check-flow", str(path)))
         assert_contract(("check-flow",), code, err)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(complex_documents)
+    def test_oracle_complex(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "fuzz_complex.json"
+        path.write_text(json.dumps(doc))
+        code, err = run_main(("oracle-complex", str(path)))
+        assert_contract(("oracle-complex",), code, err)

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -133,6 +134,27 @@ class TestConstruction:
     def test_connsum_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             ConnSum((S1, S1))
+
+    def test_library_trees_are_height_capped(self):
+        top = MAX_BRACKET_DEPTH
+        chain = functools.reduce(Product, [S1] * (top + 1))
+        assert chain.height == tree_height(chain) == top
+        for build in (lambda: Product(chain, S1), lambda: Product(S1, chain),
+                      lambda: ConnSum((chain, SphereAtom(top + 1))),
+                      lambda: functools.reduce(Product, [S1] * 2000)):
+            with pytest.raises(ValueError, match="tree deeper"):
+                build()
+        # a sum flattened into a sum adds no level
+        sums = ConnSum((ConnSum((Product(S1, S1), S2)), S2))
+        assert sums.height == tree_height(sums) == 2
+
+    def test_height_is_not_part_of_the_value(self):
+        a = Product(S1, S2)
+        assert repr(a) == "Product(left=SphereAtom(k=1), right=SphereAtom(k=2))"
+        assert repr(ConnSum((S2, S2))) == "ConnSum(summands=(SphereAtom(k=2), SphereAtom(k=2)))"
+        b = Product(S1, S2)
+        object.__setattr__(b, "height", 7)
+        assert a == b and hash(a) == hash(b)
 
     def test_connsum_needs_two_summands(self):
         with pytest.raises(ValueError):

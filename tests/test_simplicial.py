@@ -19,6 +19,8 @@ from flowtop.simplicial import (
 )
 from flowtop.snf import IntegerMatrix, smith_diagonal
 
+from helpers import address_space_cap
+
 
 def point_complex():
     return SimplicialComplex(["p"], [["p"]])
@@ -126,6 +128,22 @@ class TestBoundaryMatrix:
             K.boundary_matrix(0)
         with pytest.raises(ValueError):
             K.boundary_matrix(3)
+
+    def test_s2_cubed_boundaries_are_sparse(self):
+        # Densely, d_4 alone is 18240 x 27456 entries, several gigabytes;
+        # sparse, every boundary of S2 x S2 x S2 fits well under the cap.
+        K = triangulate(parse_manifold("S2 x S2 x S2"))
+        with address_space_cap():
+            boundaries = {i: K.boundary_matrix(i) for i in range(1, K.dim + 1)}
+            for i, d in boundaries.items():
+                assert d.shape == (K.n_simplices(i - 1), K.n_simplices(i))
+                row_of = {face: r for r, face in enumerate(K.simplices(i - 1))}
+                columns = [{row_of[s[:j] + s[j + 1:]]: (-1) ** j for j in range(i + 1)}
+                           for s in K.simplices(i)]
+                assert d == IntegerMatrix.from_columns(columns, d.nrows)
+                if i > 1:
+                    lower = boundaries[i - 1]
+                    assert lower @ d == IntegerMatrix.zeros(lower.nrows, d.ncols)
 
     def test_chain_complex_identity(self):
         for K in (boundary_sphere_complex(2), boundary_sphere_complex(3),
@@ -336,6 +354,9 @@ class TestJson:
         {"vertices": "ab", "facets": [["a"]]},
         {"vertices": ["a"], "facets": [["a", "b"]]},
         {"vertices": ["a", "b"], "facets": "ab"},
+        {"vertices": [[1], [2]], "facets": [[[1], [2]]]},
+        {"vertices": [1, 2], "facets": [[1, {"a": 2}]]},
+        {"vertices": [{}], "facets": [[0]]},
     ])
     def test_malformed_documents(self, doc):
         with pytest.raises(ValueError):

@@ -26,6 +26,14 @@ def assert_valid_snf(A):
     return D, U, V
 
 
+def random_dense(rng, m, n):
+    """Rows of small entries, mostly zero, with some rows and columns all zero."""
+    dead_rows = {i for i in range(m) if rng.random() < 0.2}
+    dead_cols = {j for j in range(n) if rng.random() < 0.2}
+    return [[0 if i in dead_rows or j in dead_cols or rng.random() < 0.6
+             else rng.randint(-5, 5) for j in range(n)] for i in range(m)]
+
+
 class TestIntegerMatrix:
     def test_shape_and_access(self):
         A = IntegerMatrix([[1, 2, 3], [4, 5, 6]])
@@ -63,6 +71,58 @@ class TestIntegerMatrix:
         assert IntegerMatrix([[1, 2], [2, 4]]).determinant() == 0
         with pytest.raises(ValueError):
             IntegerMatrix([[1, 2, 3]]).determinant()
+
+    def test_against_dense_reference(self):
+        # Sparse storage must be invisible: every accessor and @ agree with
+        # plain lists of lists, on empty shapes and zero rows and columns too.
+        rng = random.Random(20261019)
+        shapes = [(0, 0), (0, 4), (3, 0)] + [(rng.randint(1, 7), rng.randint(1, 7))
+                                              for _ in range(120)]
+        for m, n in shapes:
+            rows = random_dense(rng, m, n)
+            A = IntegerMatrix(rows, ncols=n)
+            columns = [{i: rows[i][j] for i in range(m) if rows[i][j] or rng.random() < 0.2}
+                       for j in range(n)]  # some explicit zeros, which are dropped
+            B = IntegerMatrix.from_columns(columns, m)
+            assert A == B and hash(A) == hash(B)
+            assert A.shape == B.shape == (m, n)
+            assert A.tolists() == B.tolists() == rows
+            assert IntegerMatrix(A.tolists(), ncols=n) == A
+            assert repr(B) == f"IntegerMatrix({rows!r})"
+            for i in range(-m, m):
+                assert B.row(i) == tuple(rows[i])
+                for j in range(-n, n):
+                    assert B[i, j] == rows[i][j]
+            for j in range(-n, n):
+                assert B.column(j) == tuple(row[j] for row in rows)
+            for bad in ((m, 0), (-m - 1, 0), (0, n), (0, -n - 1)):
+                with pytest.raises(IndexError):
+                    B[bad]
+            with pytest.raises(IndexError):
+                B.row(m)
+            with pytest.raises(IndexError):
+                B.column(n)
+            assert B.diagonal() == [rows[i][i] for i in range(min(m, n))]
+            assert B.is_diagonal() == all(rows[i][j] == 0 for i in range(m)
+                                          for j in range(n) if i != j)
+            p = rng.randint(0, 6)
+            other = random_dense(rng, n, p)
+            product = [[sum(rows[i][k] * other[k][j] for k in range(n)) for j in range(p)]
+                       for i in range(m)]
+            assert (B @ IntegerMatrix(other, ncols=p)).tolists() == product
+        assert IntegerMatrix.from_columns([{1: 3}, {}], 2).is_diagonal() is False
+        assert IntegerMatrix.from_columns([{0: 3}, {1: -1}], 2).is_diagonal() is True
+
+    def test_from_columns_checks_every_entry(self):
+        for column, error in [({0: True}, TypeError), ({0: 1.0}, TypeError),
+                              ({True: 1}, TypeError), ({-1: 1}, ValueError),
+                              ({3: 1}, ValueError)]:
+            with pytest.raises(error):
+                IntegerMatrix.from_columns([{}, column], 3)
+        # Equal only if the explicit zeros were dropped.
+        A = IntegerMatrix.from_columns([{0: 0, 2: 5}, {1: 0}], 3)
+        B = IntegerMatrix([[0, 0], [0, 0], [5, 0]])
+        assert A == B and hash(A) == hash(B)
 
     def test_determinant_against_rational_elimination(self):
         rng = random.Random(42)
