@@ -78,38 +78,50 @@ class Product:
         _set_height(self, max(self.left.height, self.right.height))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ConnSum:
     """Connected sum of two or more summands of one common dimension n >= 2.
 
-    Nested sums are flattened on construction, so ``summands`` never
-    contains another ConnSum.  Mixed dimensions raise
+    Stored as ``parts``, the maximal runs of equal consecutive summands as
+    (summand, copies) pairs: Sng(n, g) is one part.  Nested sums flatten and
+    ``copies`` repeats each summand.  Mixed dimensions raise
     DimensionMismatchError, making an invalid sum unrepresentable.
     """
 
-    summands: tuple["ManifoldExpr", ...]
-    height: int = field(init=False, repr=False, compare=False)
+    parts: tuple[tuple["ManifoldExpr", int], ...]
+    height: int = field(init=False, compare=False)
 
-    def __post_init__(self):
-        given = tuple(self.summands)
-        if len(given) < 2:
+    def __init__(self, summands: tuple["ManifoldExpr", ...], copies: int = 1):
+        if not isinstance(copies, int) or isinstance(copies, bool):
+            raise TypeError("copies must be an integer")
+        if copies < 1:
+            raise ValueError(f"copies must be at least 1, got {copies}")
+        given = tuple(summands)
+        if len(given) * copies < 2:
             raise ValueError("connected sum needs at least two summands")
-        flat: list[ManifoldExpr] = []
+        parts: list[tuple[ManifoldExpr, int]] = []
         for s in given:
             _check_expr(s)
-            if isinstance(s, ConnSum):
-                flat.extend(s.summands)
-            else:
-                flat.append(s)
-        distinct = {id(s): s for s in flat}.values()  # Sng(n, g) repeats one summand
-        dims = sorted({dimension(s) for s in distinct})
+            for part, k in s.parts if isinstance(s, ConnSum) else [(s, 1)]:
+                k *= copies
+                if parts and parts[-1][0] == part:
+                    k += parts.pop()[1]
+                parts.append((part, k))
+        dims = sorted({dimension(s) for s, _ in parts})
         if len(dims) != 1:
             raise DimensionMismatchError(
                 f"connected-sum summands must have equal dimensions, got {dims}")
         if dims[0] < 2:
             raise ValueError("connected sums are defined in dimension >= 2")
-        _set_height(self, max(s.height for s in distinct))
-        object.__setattr__(self, "summands", tuple(flat))
+        _set_height(self, max(s.height for s, _ in parts))
+        object.__setattr__(self, "parts", tuple(parts))
+
+    @property
+    def summands(self) -> tuple["ManifoldExpr", ...]:
+        return tuple(s for s, k in self.parts for _ in range(k))
+
+    def __repr__(self) -> str:
+        return f"ConnSum(summands={self.summands!r})"
 
 
 ManifoldExpr = SphereAtom | Product | ConnSum
@@ -134,7 +146,7 @@ def dimension(expr: ManifoldExpr) -> int:
     if isinstance(expr, Product):
         return dimension(expr.left) + dimension(expr.right)
     if isinstance(expr, ConnSum):
-        return dimension(expr.summands[0])
+        return dimension(expr.parts[0][0])
     raise TypeError(f"not a manifold expression: {expr!r}")
 
 
@@ -144,7 +156,7 @@ def s_ng(n: int, g: int) -> ManifoldExpr:
     Returns the sphere S^n for g = 0, a single copy of S^{n-1} x S^1 for
     g = 1, and a connected sum of g such copies for g >= 2.
     """
-    if not isinstance(n, int) or not isinstance(g, int):
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, g)):
         raise TypeError("n and g must be integers")
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got n = {n}")
@@ -155,7 +167,7 @@ def s_ng(n: int, g: int) -> ManifoldExpr:
     handle = Product(SphereAtom(n - 1), SphereAtom(1))
     if g == 1:
         return handle
-    return ConnSum((handle,) * g)
+    return ConnSum((handle,), g)
 
 
 _ATOM_HINT = "'S<k>', 'Sng(<n>,<g>)' or '('"

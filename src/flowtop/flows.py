@@ -59,6 +59,11 @@ class GenusNegativityError(GenusError):
     """nu - mu + 2 is negative, so the genus would be negative."""
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool (True would otherwise pass as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Connection:
     """Directed edge between two labelled equilibria."""
@@ -86,14 +91,14 @@ class FlowSpec:
     indices: Mapping[str, int] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
+        if not _is_int(self.n) or self.n < 2:
             raise ValueError(f"ambient dimension must be an integer >= 2, got {self.n!r}")
         counts = tuple(self.counts)
         if len(counts) != self.n + 1:
             raise ValueError(
                 f"counts must have length n + 1 = {self.n + 1}, got {len(counts)}")
         for c in counts:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+            if not _is_int(c) or c < 0:
                 raise ValueError(f"counts must be non-negative integers, got {c!r}")
         if counts[0] < 1 or counts[self.n] < 1:
             raise ValueError(
@@ -108,7 +113,7 @@ class FlowSpec:
             conns = tuple(self.connections)
             idx = dict(self.indices)
             for name, i in idx.items():
-                if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= self.n:
+                if not _is_int(i) or not 0 <= i <= self.n:
                     raise ValueError(
                         f"Morse index of {name!r} must be an integer in 0..{self.n}, got {i!r}")
             for edge in conns:
@@ -172,9 +177,9 @@ def genus_of_counts(nu: int, mu: int) -> int:
     when nu - mu is odd; genuine flows always give a non-negative integer,
     so either error certifies invalid input data.
     """
-    if not isinstance(nu, int) or nu < 0:
+    if not _is_int(nu) or nu < 0:
         raise ValueError(f"saddle count must be a non-negative integer, got {nu!r}")
-    if not isinstance(mu, int) or mu < 2:
+    if not _is_int(mu) or mu < 2:
         raise ValueError(f"node count must be an integer >= 2, got {mu!r}")
     s = nu - mu + 2
     if s < 0:
@@ -206,11 +211,11 @@ def obstruction_check(n: int, i: int, g: int) -> ObstructionResult:
     in the saddle alone (intersection number +1 or -1), while
     null-homologous spheres must have intersection number 0.
     """
-    if not isinstance(n, int) or n < 3:
+    if not _is_int(n) or n < 3:
         raise ValueError(f"ambient dimension must be an integer >= 3, got {n!r}")
-    if not isinstance(g, int) or g < 0:
+    if not _is_int(g) or g < 0:
         raise ValueError(f"genus must be a non-negative integer, got {g!r}")
-    if not isinstance(i, int) or not 1 <= i <= n - 1:
+    if not _is_int(i) or not 1 <= i <= n - 1:
         raise ValueError(f"Morse index must lie in 1..{n - 1}, got {i!r}")
     row = _betti_row(n, g)
     if 2 <= i <= n - 2 and row[i] == 0 and row[n - i] == 0:
@@ -399,11 +404,11 @@ def enumerate_flows(n: int, g: int, k_max: int) -> list[tuple[int, ...]]:
     made that each one is realized by an actual flow.  Output is sorted
     lexicographically.
     """
-    if not isinstance(n, int) or n < 4:
+    if not _is_int(n) or n < 4:
         raise ValueError(f"enumeration needs dimension >= 4, got {n!r}")
-    if not isinstance(g, int) or g < 0:
+    if not _is_int(g) or g < 0:
         raise ValueError(f"genus must be a non-negative integer, got {g!r}")
-    if not isinstance(k_max, int) or k_max < 0:
+    if not _is_int(k_max) or k_max < 0:
         raise ValueError(f"k_max must be a non-negative integer, got {k_max!r}")
     found: list[tuple[int, ...]] = []
     for k in range(k_max + 1):
@@ -440,7 +445,7 @@ def flow_spec_from_json(data: Any) -> FlowSpec:
         raise ValueError("flow spec is missing the field 'counts'")
     n = data["n"]
     counts = data["counts"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ValueError("field 'n' must be an integer")
     if not isinstance(counts, list):
         raise ValueError("field 'counts' must be a list of integers")

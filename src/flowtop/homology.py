@@ -22,7 +22,6 @@ cases.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping
 
 from .expressions import ConnSum, ManifoldExpr, Product, SphereAtom, dimension
@@ -202,9 +201,7 @@ def homology(expr: ManifoldExpr) -> GradedGroup:
             raise ValueError("rank convolution requires torsion-free factors")
         return GradedGroup(_convolve(left._ranks, right._ranks))
     if isinstance(expr, ConnSum):
-        # Equal summands (Sng(n, g) repeats one handle g times) are computed once.
-        copies = Counter(expr.summands)
-        parts = ((homology(s)._ranks, k) for s, k in copies.items())
+        parts = ((homology(s)._ranks, k) for s, k in expr.parts)
         return GradedGroup(_connected_sum(parts, dimension(expr)))
     raise TypeError(f"not a manifold expression: {expr!r}")
 

@@ -347,7 +347,7 @@ def triangulate(expr: ManifoldExpr) -> SimplicialComplex:
         return product_complex(triangulate(expr.left), triangulate(expr.right))
     if isinstance(expr, ConnSum):
         n = dimension(expr)
-        pieces = [triangulate(s) for s in expr.summands]
+        pieces = [piece for s, k in expr.parts for piece in [triangulate(s)] * k]
         return reduce(lambda a, b: connected_sum_complex(a, b, n), pieces)
     raise TypeError(f"not a manifold expression: {expr!r}")
 
@@ -376,4 +376,9 @@ def complex_from_json(data: Any) -> SimplicialComplex:
     kinds = set(map(type, chain(vertices, *facets)))
     if list in kinds or dict in kinds:
         raise ValueError("vertex labels must be JSON scalars, not lists or objects")
+    # Python equates the distinct JSON labels 1, 1.0 and true; JSON does not.
+    typed = {(type(v), v) for v in vertices}
+    for lab in chain(*facets):
+        if (type(lab), lab) not in typed:
+            raise ValueError(f"facet vertex {lab!r} is not in the vertex set")
     return SimplicialComplex(vertices, facets)

@@ -43,6 +43,13 @@ class TestHomologyCommand:
         assert code == 0
         assert out.splitlines() == ["H_0 = Z", "H_1 = Z^2", "H_2 = Z"]
 
+    def test_huge_genus_under_memory_cap(self, capsys):
+        g = 10**9
+        with address_space_cap():
+            code, out, _ = run(capsys, "homology", f"Sng(6,{g})", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["ranks"] == {"0": 1, "1": g, "5": g, "6": 1}
+
     def test_grammar_error_exits_2(self, capsys):
         code, _, err = run(capsys, "homology", "S2 #")
         assert code == 2
@@ -233,6 +240,15 @@ class TestOracleCommand:
 
 
 class TestOracleComplexCommand:
+    def test_labels_match_by_json_type(self, tmp_path, capsys):
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({
+            "vertices": ["a", 1, "c"],
+            "facets": [["a", True], [1.0, "c"], ["c", "a"]],
+        }))
+        code, _, err = run(capsys, "oracle-complex", str(path))
+        assert code == 2
+        assert err == "error: facet vertex True is not in the vertex set\n"
     def test_triangle(self, tmp_path, capsys):
         path = tmp_path / "triangle.json"
         path.write_text(json.dumps({

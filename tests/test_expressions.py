@@ -169,6 +169,53 @@ class TestConstruction:
             Product(S2, "S2")
 
 
+class TestParts:
+    def test_sng_is_one_part(self):
+        assert s_ng(4, 3).parts == ((Product(S3, S1), 3),)
+        assert s_ng(5, 10**9).parts == ((Product(SphereAtom(4), S1), 10**9),)
+
+    def test_adjacent_equal_runs_merge(self):
+        merged = ConnSum((s_ng(4, 2), s_ng(4, 3)))
+        assert merged == s_ng(4, 5)
+        assert hash(merged) == hash(s_ng(4, 5))
+        assert merged.parts == ((Product(S3, S1), 5),)
+
+    def test_order_is_kept(self):
+        a, b = Product(S1, S1), S2
+        assert ConnSum((a, b, a)) != ConnSum((a, a, b))
+        assert ConnSum((a, b, a)).parts == ((a, 1), (b, 1), (a, 1))
+
+    def test_summands_expand_the_runs(self):
+        a, b = Product(S1, S1), S2
+        expr = ConnSum((a, a, b))
+        assert expr.summands == (a, a, b)
+        assert eval(repr(expr)) == expr
+
+    def test_round_trip(self):
+        assert render_manifold(s_ng(4, 3)) == "S3 x S1 # S3 x S1 # S3 x S1"
+        assert parse_manifold(render_manifold(s_ng(4, 3))) == s_ng(4, 3)
+
+    def test_copies_repeat_each_summand(self):
+        a, b = Product(S1, S1), S2
+        assert ConnSum((a,), 3) == ConnSum((a, a, a))
+        assert ConnSum((a, b), copies=2) == ConnSum((a, a, b, b))
+        assert ConnSum((ConnSum((a, b)), a), 2).parts == ((a, 2), (b, 2), (a, 2))
+        assert ConnSum((a, b), 1) == ConnSum((a, b))
+
+    @pytest.mark.parametrize("copies,error", [
+        (True, TypeError), (2.0, TypeError), ("2", TypeError),
+        (0, ValueError), (-1, ValueError)])
+    def test_copies_must_be_a_positive_integer(self, copies, error):
+        with pytest.raises(error):
+            ConnSum((S2, S2), copies)
+
+    def test_one_copy_of_one_summand_is_not_a_sum(self):
+        with pytest.raises(ValueError):
+            ConnSum((S2,), 1)
+        with pytest.raises(ValueError):
+            ConnSum((), 5)
+
+
 class TestDimension:
     @pytest.mark.parametrize("text,expected", [
         ("S4", 4),
@@ -199,6 +246,11 @@ class TestSng:
             s_ng(1, 1)
         with pytest.raises(ValueError):
             s_ng(4, -1)
+
+    def test_bool_is_not_an_integer(self):
+        for n, g in ((5, True), (True, 2), (5, False)):
+            with pytest.raises(TypeError):
+                s_ng(n, g)
 
 
 class TestRoundTrip:

@@ -46,6 +46,11 @@ class TestGenusOfCounts:
         with pytest.raises(ValueError):
             genus_of_counts(3, 1)
 
+    def test_bool_is_not_a_count(self):
+        for nu, mu in ((True, 3), (0, True), (False, 2)):
+            with pytest.raises(ValueError):
+                genus_of_counts(nu, mu)
+
 
 class TestMorseInequalities:
     def test_no_violations(self):
@@ -95,6 +100,11 @@ class TestObstructionCheck:
             obstruction_check(4, 4, 0)
         with pytest.raises(ValueError):
             obstruction_check(4, 2, -1)
+
+    def test_bool_is_not_an_integer(self):
+        for args in ((4, True, 0), (4, 1, True), (True, 1, 0)):
+            with pytest.raises(ValueError):
+                obstruction_check(*args)
 
 
 CHECK_ORDER = ["genus", "index_restriction", "morse_inequalities",
@@ -307,6 +317,11 @@ class TestEnumerateFlows:
 
     def test_genus_one_minimal(self):
         assert enumerate_flows(4, 1, 0) == [(1, 1, 0, 1, 1)]
+
+    def test_bool_is_not_an_integer(self):
+        for args in ((4, True, 0), (4, 0, True), (True, 0, 0)):
+            with pytest.raises(ValueError):
+                enumerate_flows(*args)
 
     def test_k_one_includes_all_strata(self):
         vectors = enumerate_flows(4, 0, 1)

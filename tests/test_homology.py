@@ -300,3 +300,8 @@ class TestRepeatedSummands:
     def test_genus_one_million_in_closed_form(self):
         g = 10**6
         assert poincare_polynomial(s_ng(5, g)).coefficients == (1, g, 0, 0, g, 1)
+
+    def test_genus_one_billion_stores_one_summand(self):
+        g = 10**9
+        with address_space_cap():
+            assert homology(s_ng(5, g)).ranks == {0: 1, 1: g, 4: g, 5: 1}

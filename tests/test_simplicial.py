@@ -200,6 +200,13 @@ class TestConnectedSumComplex:
         with pytest.raises(ValueError):
             connected_sum_complex(torus_complex(), torus_complex(), 3)
 
+    def test_inputs_are_not_changed(self):
+        handle = product_complex(boundary_sphere_complex(2), circle_complex(3))
+        before = (handle.vertices, handle.facets, repr(handle))
+        K = connected_sum_complex(handle, handle, 3)
+        assert (handle.vertices, handle.facets, repr(handle)) == before
+        assert simplicial_homology(K) == simplicial_homology(triangulate(s_ng(3, 2)))
+
     def test_impure_complex_rejected(self):
         impure = SimplicialComplex(range(5), [(0, 1, 2), (2, 3), (3, 4)])
         with pytest.raises(ValueError):
@@ -357,6 +364,7 @@ class TestJson:
         {"vertices": [[1], [2]], "facets": [[[1], [2]]]},
         {"vertices": [1, 2], "facets": [[1, {"a": 2}]]},
         {"vertices": [{}], "facets": [[0]]},
+        {"vertices": ["a", 1, "c"], "facets": [["a", True], [1.0, "c"], ["c", "a"]]},
     ])
     def test_malformed_documents(self, doc):
         with pytest.raises(ValueError):
