@@ -236,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_obstruction)
 
     p = sub.add_parser("oracle", parents=[common],
-                       help="triangulate an expression and compute homology from "
-                            "Smith normal form")
+                       help="triangulate an expression and compute homology by "
+                            "unit-pivot elimination and Smith normal form")
     p.add_argument("expr")
     p.add_argument("--max-dim", dest="max_dim", type=int, default=DEFAULT_MAX_ORACLE_DIM)
     p.set_defaults(handler=_cmd_oracle)

@@ -4,10 +4,13 @@ This is the independent verifier for the closed-form homology rules: a
 complex is a vertex order plus a facet list, the full face lattice is
 derived, and boundary matrices use the alternating-sign rule with
 lexicographically ordered bases.  Homology is computed exactly, torsion
-included: each boundary is built as sparse columns, every +-1 pivot is
-eliminated (exact over Z, and the invariant factors are unchanged), and
-only the residual that has no unit entry left goes through dense Smith
-normal form.
+included.  The boundaries are reduced top-down, from d_top to d_1.  Each
+is built as sparse columns, every +-1 pivot is eliminated (exact over Z,
+and the invariant factors are unchanged), and only the residual that has
+no unit entry left goes through dense Smith normal form.  Before d_i is
+built, the columns of the i-simplices that were +-1 pivot rows of d_{i+1}
+are cleared: they are integer combinations of the columns kept, so they
+are never built (see :func:`simplicial_homology`).
 
 Constructors cover triangulated spheres, polygons, products (staircase
 triangulation) and connected sums; together they triangulate any manifold
@@ -17,12 +20,11 @@ expression via :func:`triangulate`.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator, Sequence
-from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations
 from typing import Any
 
-from .expressions import ConnSum, ManifoldExpr, Product, SphereAtom, dimension
+from .expressions import ConnSum, ManifoldExpr, Product, SphereAtom
 from .homology import GradedGroup
 from .snf import IntegerMatrix, smith_diagonal
 
@@ -124,13 +126,16 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(level) for d, level in enumerate(self._simplices))
 
-    def _boundary_columns(self, i: int) -> Iterator[list[tuple[int, int]]]:
+    def _boundary_columns(self, i: int,
+                          skip: frozenset[int] = frozenset()) -> Iterator[list[tuple[int, int]]]:
         """The columns of the i-th boundary as (row, sign) pairs, in the
-        bases and with the signs that :meth:`boundary_matrix` documents."""
+        bases and with the signs that :meth:`boundary_matrix` documents,
+        leaving out the columns whose positions are in ``skip``."""
         row_of = {s: r for r, s in enumerate(self._simplices[i - 1])}
         signs = [-1 if j % 2 else 1 for j in range(i + 1)]
-        for simplex in self._simplices[i]:
-            yield [(row_of[simplex[:j] + simplex[j + 1:]], signs[j]) for j in range(i + 1)]
+        for c, simplex in enumerate(self._simplices[i]):
+            if c not in skip:
+                yield [(row_of[simplex[:j] + simplex[j + 1:]], signs[j]) for j in range(i + 1)]
 
     def boundary_matrix(self, i: int) -> IntegerMatrix:
         """Sparse matrix of the i-th boundary operator, 1 <= i <= dim.
@@ -164,6 +169,11 @@ def eliminate_unit_pivots(columns: list[dict[int, int]], nrows: int) -> tuple[in
     rows they touch, none of whose entries is +-1.  The matrix is equivalent
     over Z to an identity block of that size beside the residual, so its
     invariant factors are the pivots' 1s followed by the residual's.
+
+    Afterwards each split-off column of ``columns`` is left as
+    ``{pivot_row: +-1}``, no two on the same row, and every other column as
+    its part of the residual (on the original rows).  As the residual holds
+    no +-1, the +-1 entries left in ``columns`` are exactly the pivot rows.
     """
     rows: list[set[int]] = [set() for _ in range(nrows)]
     for c, col in enumerate(columns):
@@ -171,7 +181,7 @@ def eliminate_unit_pivots(columns: list[dict[int, int]], nrows: int) -> tuple[in
             rows[r].add(c)
     queue = [(len(col), c) for c, col in enumerate(columns) if col]
     heapify(queue)
-    pivots = 0
+    split: list[tuple[int, int, int]] = []
     while queue:
         length, c = heappop(queue)
         col = columns[c]
@@ -200,29 +210,46 @@ def eliminate_unit_pivots(columns: list[dict[int, int]], nrows: int) -> tuple[in
                     rows[r].discard(c2)
             heappush(queue, (len(other), c2))
         columns[c] = {}
-        pivots += 1
+        split.append((c, pivot_row, sign))
     left = [col for col in columns if col]
     renumber = {r: k for k, r in enumerate(sorted({r for col in left for r in col}))}
     residual = ({renumber[r]: x for r, x in col.items()} for col in left)
-    return pivots, IntegerMatrix.from_columns(residual, len(renumber))
+    for c, r, sign in split:
+        columns[c] = {r: sign}
+    return len(split), IntegerMatrix.from_columns(residual, len(renumber))
 
 
 def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     """Integer homology of K from the invariant factors of its boundary maps.
 
-    Each boundary d_i is built as sparse columns and its +-1 pivots are
-    eliminated (:func:`eliminate_unit_pivots`); only the residual goes to
-    dense Smith normal form.  rank d_i is the number of pivots plus the
-    residual's rank.  rank H_i = (#i-simplices) - rank d_i - rank d_{i+1},
-    and the torsion of H_i is the set of invariant factors of d_{i+1}
-    exceeding 1, all of which come from the residual.
+    The boundaries are taken top-down, from d_top to d_1.  Each d_i is
+    built as sparse columns and its +-1 pivots are eliminated
+    (:func:`eliminate_unit_pivots`); only the residual goes to dense Smith
+    normal form.  rank d_i is the number of pivots plus the residual's
+    rank.  rank H_i = (#i-simplices) - rank d_i - rank d_{i+1}, and the
+    torsion of H_i is the set of invariant factors of d_{i+1} exceeding 1,
+    all of which come from the residual.
+
+    Clearing: the columns of d_i whose i-simplices were +-1 pivot rows of
+    d_{i+1} are never built.  When a pivot of d_{i+1} is taken, its reduced
+    column z_k is an integer combination of columns of d_{i+1}, so it lies
+    in ker d_i; it has +-1 at its own pivot row r_k and 0 at every earlier
+    pivot row.  On the pivot rows R the block Z_R of these columns is
+    therefore triangular with +-1 on the diagonal, hence unimodular, and
+    d_i Z = 0 gives D_R = -D_S Z_S Z_R^-1 for the other columns S.  Every
+    cleared column is an integer combination of the kept ones, so the image
+    lattice of d_i, its rank and every invariant factor are unchanged.
     """
     top = K.dim
     rank_d: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
-    for i in range(1, top + 1):
-        columns = [dict(entries) for entries in K._boundary_columns(i)]
+    cleared: frozenset[int] = frozenset()
+    for i in range(top, 0, -1):
+        columns = [dict(entries) for entries in K._boundary_columns(i, cleared)]
         pivots, residual = eliminate_unit_pivots(columns, K.n_simplices(i - 1))
+        # the residual holds no +-1, so these are the pivot rows of d_i
+        cleared = frozenset(r for col in columns for r, x in col.items() if x == 1 or x == -1)
+        del columns
         diag = smith_diagonal(residual) if residual.nrows else []
         rank_d[i] = pivots + sum(1 for x in diag if x)
         factors = tuple(x for x in diag if x > 1)
@@ -312,43 +339,48 @@ def connected_sum_complex(K: SimplicialComplex, L: SimplicialComplex,
                 raise ValueError(
                     f"facet {facet!r} has dimension {len(facet) - 1}, so its boundary "
                     f"is not a standard {n - 1}-sphere; the complex must be pure")
+    return _glue([K, L])
 
-    k_facets = K.facets
-    l_facets = L.facets
-    removed_k = k_facets[0]
-    removed_l = l_facets[0]
 
-    relabel_k = {v: i for i, v in enumerate(K.vertices)}
-    relabel_l: dict[Any, int] = {}
-    for old, new in zip(removed_l, removed_k):
-        relabel_l[old] = relabel_k[new]
-    fresh = len(relabel_k)
-    for v in L.vertices:
-        if v not in relabel_l:
-            relabel_l[v] = fresh
-            fresh += 1
+def _glue(pieces: Sequence[SimplicialComplex]) -> SimplicialComplex:
+    """Connected sum of pure n-complexes, glued in order in one pass.
 
-    facets = [tuple(relabel_k[v] for v in f) for f in k_facets[1:]]
-    facets += [tuple(relabel_l[v] for v in f) for f in l_facets[1:]]
-    return SimplicialComplex(range(fresh), facets)
+    Each step removes the lexicographically first facet of the sum so far
+    and the first facet of the next piece, and glues the two by the
+    order-preserving vertex bijection; the piece's other vertices get the
+    next fresh integers in its vertex order.  The first piece's vertices
+    become 0, 1, ...  The running facets are kept in a heap, so the
+    facet each step removes is found without rebuilding the sum.
+    """
+    first, *rest = pieces
+    heap = list(first._facets)  # sorted, so already a heap
+    fresh = len(first._labels)
+    for piece in rest:
+        relabel = dict(zip(piece._facets[0], heappop(heap)))
+        for v in range(len(piece._labels)):
+            if v not in relabel:
+                relabel[v] = fresh
+                fresh += 1
+        for f in piece._facets[1:]:
+            heappush(heap, tuple(sorted(relabel[v] for v in f)))
+    return SimplicialComplex(range(fresh), heap)
 
 
 def triangulate(expr: ManifoldExpr) -> SimplicialComplex:
     """Triangulation of a manifold expression, built recursively.
 
     Spheres become simplex boundaries, products use the staircase
-    triangulation, and connected sums glue along removed facets.  Cost
-    grows quickly with total dimension; the CLI guards this with a
-    dimension limit.
+    triangulation, and connected sums glue along removed facets, all
+    copies in one pass (one heap operation per facet, never a rebuild per
+    copy).  Cost grows quickly with total dimension; the CLI guards this
+    with a dimension limit.
     """
     if isinstance(expr, SphereAtom):
         return boundary_sphere_complex(expr.k)
     if isinstance(expr, Product):
         return product_complex(triangulate(expr.left), triangulate(expr.right))
     if isinstance(expr, ConnSum):
-        n = dimension(expr)
-        pieces = [piece for s, k in expr.parts for piece in [triangulate(s)] * k]
-        return reduce(lambda a, b: connected_sum_complex(a, b, n), pieces)
+        return _glue([piece for s, k in expr.parts for piece in [triangulate(s)] * k])
     raise TypeError(f"not a manifold expression: {expr!r}")
 
 

@@ -1,9 +1,11 @@
 import random
+from functools import reduce
 
 import pytest
 
 from flowtop.expressions import parse_manifold, s_ng
 from flowtop.homology import GradedGroup, homology
+from flowtop import simplicial
 from flowtop.simplicial import (
     SimplicialComplex,
     boundary_sphere_complex,
@@ -313,6 +315,100 @@ class TestUnitPivotElimination:
         assert klein.torsion == {1: (2,)}
 
 
+def full_boundary_columns(K, i):
+    """Every column of d_i as {row: sign}, built from the public simplex lists."""
+    row_of = {face: r for r, face in enumerate(K.simplices(i - 1))}
+    return [{row_of[s[:j] + s[j + 1:]]: (-1) ** j for j in range(i + 1)}
+            for s in K.simplices(i)]
+
+
+def homology_without_clearing(K):
+    """Reference with no clearing: unit-pivot elimination and the Smith form
+    of the residual on every full boundary, in any order."""
+    rank_d, torsion = {}, {}
+    for i in range(1, K.dim + 1):
+        pivots, residual = eliminate_unit_pivots(full_boundary_columns(K, i),
+                                                 K.n_simplices(i - 1))
+        diag = smith_diagonal(residual) if residual.nrows else []
+        rank_d[i] = pivots + sum(1 for x in diag if x)
+        if any(x > 1 for x in diag):
+            torsion[i - 1] = tuple(x for x in diag if x > 1)
+    ranks = {i: K.n_simplices(i) - rank_d.get(i, 0) - rank_d.get(i + 1, 0)
+             for i in range(K.dim + 1)}
+    return GradedGroup({i: r for i, r in ranks.items() if r}, torsion)
+
+
+def rp2_products_and_sums():
+    rp2 = projective_plane_complex()
+    return [product_complex(rp2, rp2), connected_sum_complex(rp2, rp2, 2),
+            product_complex(rp2, boundary_sphere_complex(2))]
+
+
+class TestClearing:
+    @pytest.mark.parametrize("seed", [5, 17, 41])
+    def test_torsion_complexes_under_permutation_match_no_clearing(self, seed):
+        rng = random.Random(seed)
+        for K in rp2_products_and_sums():
+            K = permuted(K, rng)
+            assert simplicial_homology(K) == homology_without_clearing(K)
+
+    @pytest.mark.parametrize("text", ["Sng(5,2)", "S2 x S1 x S1"])
+    def test_triangulations_match_no_clearing(self, text):
+        K = triangulate(parse_manifold(text))
+        assert simplicial_homology(K) == homology_without_clearing(K)
+
+    def test_random_subcomplexes_match_no_clearing(self):
+        K = product_complex(projective_plane_complex(), circle_complex(3))
+        facets = list(K.facets)
+        with_torsion = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            sub = SimplicialComplex(K.vertices, rng.sample(facets, rng.randint(45, len(facets))))
+            group = simplicial_homology(sub)
+            assert group == homology_without_clearing(sub), seed
+            with_torsion += bool(group.torsion)
+        assert with_torsion == 60
+
+    @pytest.mark.parametrize("K", rp2_products_and_sums()
+                             + [triangulate(parse_manifold("S2 x S1 x S1"))])
+    def test_cleared_columns_are_never_built(self, K, monkeypatch):
+        calls = []
+
+        def recording(columns, nrows):
+            n_columns = len(columns)
+            pivots, residual = eliminate_unit_pivots(columns, nrows)
+            calls.append((n_columns, nrows, pivots))
+            return pivots, residual
+
+        monkeypatch.setattr(simplicial, "eliminate_unit_pivots", recording)
+        simplicial_homology(K)
+        # one call per boundary, top-down: d_top, ..., d_1
+        assert [nrows for _, nrows, _ in calls] == [K.n_simplices(i - 1)
+                                                    for i in range(K.dim, 0, -1)]
+        # d_i gets the i-simplices that were not pivot rows of d_{i+1}
+        pivots_above = 0
+        for (n_columns, _, pivots), i in zip(calls, range(K.dim, 0, -1)):
+            assert n_columns == K.n_simplices(i) - pivots_above
+            pivots_above = pivots
+        assert calls[0][2] > 0
+
+    def test_split_off_columns_are_single_units_on_distinct_rows(self):
+        matrices = [(full_boundary_columns(K, i), K.n_simplices(i - 1))
+                    for K in rp2_products_and_sums() for i in range(1, K.dim + 1)]
+        for seed in range(150):
+            rng = random.Random(seed)
+            nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+            matrices.append((random_sparse_columns(rng, nrows, ncols), nrows))
+        for columns, nrows in matrices:
+            pivots, residual = eliminate_unit_pivots(columns, nrows)
+            units = [col for col in columns if any(x in (1, -1) for x in col.values())]
+            assert len(units) == pivots
+            assert all(len(col) == 1 for col in units)
+            assert len({r for col in units for r in col}) == pivots
+            # the other non-empty columns are the residual, on the original rows
+            assert sum(1 for col in columns if col) - pivots == residual.ncols
+
+
 class TestTriangulate:
     @pytest.mark.parametrize("text", ["S1", "S3", "S1 x S1", "Sng(2,2)", "Sng(3,1)"])
     def test_matches_engine(self, text):
@@ -339,6 +435,38 @@ class TestTriangulate:
             group = simplicial_homology(K)
             alternating = sum((-1) ** d * group.rank(d) for d in range(K.dim + 1))
             assert K.euler_characteristic() == alternating
+
+
+def folded_triangulation(expr):
+    """The connected sum glued pairwise, one complex per step."""
+    pieces = [triangulate(s) for s, k in expr.parts for _ in range(k)]
+    return reduce(lambda a, b: connected_sum_complex(a, b, a.dim), pieces)
+
+
+class TestGluing:
+    @pytest.mark.parametrize("expr", [s_ng(4, g) for g in range(2, 7)]
+                             + [parse_manifold("S3 x S1 # S2 x S2 # S3 x S1")])
+    def test_one_pass_matches_the_pairwise_fold(self, expr):
+        K = triangulate(expr)
+        folded = folded_triangulation(expr)
+        assert K.vertices == folded.vertices
+        assert K.facets == folded.facets
+
+    def test_complexes_built_do_not_grow_with_the_genus(self, monkeypatch):
+        built = []
+        init = SimplicialComplex.__init__
+
+        def counting(self, vertices, facets):
+            built.append(1)
+            init(self, vertices, facets)
+
+        monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+        counts = []
+        for g in (5, 50):
+            built.clear()
+            triangulate(s_ng(4, g))
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
 
 class TestJson:
