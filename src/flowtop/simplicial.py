@@ -2,8 +2,9 @@
 
 This is the independent verifier for the closed-form homology rules: a
 complex is a vertex order plus a facet list, the full face lattice is
-derived, and boundary matrices use the alternating-sign rule with
-lexicographically ordered bases.  Homology is computed exactly, torsion
+derived (a product generates it from its factors' lattices), and boundary
+matrices use the alternating-sign rule with lexicographically ordered
+bases.  Homology is computed exactly, torsion
 included.  The boundaries are reduced top-down, from d_top to d_1.  Each
 is built as sparse columns, every +-1 pivot is eliminated (exact over Z,
 and the invariant factors are unchanged), and only the residual that has
@@ -19,9 +20,10 @@ expression via :func:`triangulate`.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
+from operator import itemgetter
 from typing import Any
 
 from .expressions import ConnSum, ManifoldExpr, Product, SphereAtom
@@ -52,7 +54,7 @@ class SimplicialComplex:
     dropped.
     """
 
-    __slots__ = ("_labels", "_index", "_facets", "_simplices")
+    __slots__ = ("_labels", "_facets", "_simplices")
 
     def __init__(self, vertices: Iterable[Hashable], facets: Iterable[Sequence[Hashable]]):
         labels = list(vertices)
@@ -96,9 +98,19 @@ class SimplicialComplex:
                 lattice[size - 1].update(combinations(f, size))
 
         self._labels = tuple(labels)
-        self._index = index
         self._facets = tuple(sorted(maximal))
         self._simplices = [sorted(level) for level in lattice]
+
+    @classmethod
+    def _from_lattice(cls, labels: tuple[Hashable, ...], facets: tuple[tuple[int, ...], ...],
+                      levels: list[list[tuple[int, ...]]]) -> SimplicialComplex:
+        """A complex whose sorted facets and face lattice, as vertex index
+        tuples each sorted, with every level sorted, are already known."""
+        K = cls.__new__(cls)
+        K._labels = labels
+        K._facets = facets
+        K._simplices = levels
+        return K
 
     @property
     def vertices(self) -> tuple[Hashable, ...]:
@@ -265,7 +277,7 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
 
 def boundary_sphere_complex(k: int) -> SimplicialComplex:
     """The k-sphere as the boundary of the standard (k+1)-simplex."""
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"sphere dimension must be an integer >= 1, got {k!r}")
     verts = range(k + 2)
     return SimplicialComplex(verts, combinations(verts, k + 1))
@@ -293,28 +305,71 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
     """Staircase triangulation of the product |K| x |L|.
 
     Vertices are pairs (a, b) ordered lexicographically by the factor
-    orders.  For each facet pair the top cells are the monotone lattice
-    paths through the grid of vertex pairs; using the global vertex orders
+    orders.  For each facet pair (f, h) the top cells are the monotone
+    lattice paths through the grid f x h; using the global vertex orders
     makes the path triangulations agree on shared faces.
+
+    The face lattice is generated from the factors' face lattices, each
+    simplex exactly once, never from the facets' subsets.  A simplex is a
+    chain in some f x h, so it is fixed by its projections, a p-face s of
+    K and a q-face t of L, and by the word of its d steps through the grid
+    s x t: d - q steps (1, 0), d - p steps (0, 1) and p + q - d steps
+    (1, 1), for max(p, q) <= d <= p + q.  Conversely, every such chain
+    lies in f x h for any facets f of K containing s and h of L containing
+    t.  So f_d = sum over p, q of f_p(K) f_q(L) d!/((d-q)!(d-p)!(p+q-d)!),
+    the closed-form f-vector of a product.  Vertex (a, b) has index
+    a * |L| + b, which increases along a chain, so every generated tuple
+    is increasing and only each level needs sorting.  The facets are the (p + q)-paths of the facet pairs: a
+    simplex containing one has the same projections, and a chain in f x h
+    has at most p + q + 1 vertices, so each is maximal.
     """
-    verts = [(a, b) for a in K.vertices for b in L.vertices]
+    width = len(L._labels)
+    walks: dict[tuple[int, int, int], list[Callable[[list[int]], tuple[int, ...]]]] = {}
+
+    def grids(faces_K: Iterable[tuple[int, ...]],
+              faces_L: Iterable[tuple[int, ...]]) -> list[list[int]]:
+        """The indices of s x t flattened by rows, for each face pair.  The
+        faces of L are the outer loop: for one word, the simplices over one
+        face of L then come out in the (sorted) order of the faces of K, so
+        each level is sorted from long runs."""
+        rows = [[a * width for a in s] for s in faces_K]
+        return [[a + b for a in r for b in t] for t in faces_L for r in rows]
+
+    def cells(pairs: list[list[int]], p: int, q: int, d: int) -> list[tuple[int, ...]]:
+        """The d-simplices over the grids of p-faces by q-faces in pairs."""
+        if (p, q, d) not in walks:
+            words = []
+            for down in combinations(range(d), d - q):
+                rest = [k for k in range(d) if k not in down]
+                for across in combinations(rest, d - p):
+                    i = j = 0
+                    path = [0]
+                    for k in range(d):
+                        i += k not in across
+                        j += k not in down
+                        path.append(i * (q + 1) + j)
+                    # itemgetter of one index returns the item, not a 1-tuple
+                    words.append(itemgetter(*path) if d else tuple)
+            walks[p, q, d] = words
+        return [word(grid) for word in walks[p, q, d] for grid in pairs]
+
+    levels: list[list[tuple[int, ...]]] = [[] for _ in range(K.dim + L.dim + 1)]
+    for p, faces_K in enumerate(K._simplices):
+        for q, faces_L in enumerate(L._simplices):
+            pairs = grids(faces_K, faces_L)
+            for d in range(max(p, q), p + q + 1):
+                levels[d] += cells(pairs, p, q, d)
+    for level in levels:
+        level.sort()
     facets = []
-    for f in K.facets:
-        for h in L.facets:
-            p = len(f) - 1
-            q = len(h) - 1
-            for advance_first in combinations(range(p + q), p):
-                steps = set(advance_first)
-                i = j = 0
-                cell = [(f[0], h[0])]
-                for s in range(p + q):
-                    if s in steps:
-                        i += 1
-                    else:
-                        j += 1
-                    cell.append((f[i], h[j]))
-                facets.append(cell)
-    return SimplicialComplex(verts, facets)
+    for size_K, group_K in groupby(sorted(K._facets, key=len), len):
+        facets_K = list(group_K)
+        for size_L, facets_L in groupby(sorted(L._facets, key=len), len):
+            facets += cells(grids(facets_K, facets_L), size_K - 1, size_L - 1,
+                            size_K + size_L - 2)
+    facets.sort()
+    labels = tuple((a, b) for a in K._labels for b in L._labels)
+    return SimplicialComplex._from_lattice(labels, tuple(facets), levels)
 
 
 def connected_sum_complex(K: SimplicialComplex, L: SimplicialComplex,
@@ -334,10 +389,11 @@ def connected_sum_complex(K: SimplicialComplex, L: SimplicialComplex,
         raise ValueError(
             f"dimension mismatch: expected two {n}-complexes, got {K.dim} and {L.dim}")
     for complex_ in (K, L):
-        for facet in complex_.facets:
-            if len(facet) != n + 1:
+        for f in complex_._facets:
+            if len(f) != n + 1:
+                facet = tuple(complex_._labels[v] for v in f)
                 raise ValueError(
-                    f"facet {facet!r} has dimension {len(facet) - 1}, so its boundary "
+                    f"facet {facet!r} has dimension {len(f) - 1}, so its boundary "
                     f"is not a standard {n - 1}-sphere; the complex must be pure")
     return _glue([K, L])
 

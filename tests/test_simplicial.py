@@ -1,9 +1,11 @@
 import random
 from functools import reduce
+from itertools import combinations
+from math import factorial
 
 import pytest
 
-from flowtop.expressions import parse_manifold, s_ng
+from flowtop.expressions import ConnSum, Product, parse_manifold, s_ng
 from flowtop.homology import GradedGroup, homology
 from flowtop import simplicial
 from flowtop.simplicial import (
@@ -96,6 +98,14 @@ class TestSphereAndCircle:
             boundary_sphere_complex(0)
         with pytest.raises(ValueError):
             circle_complex(2)
+
+    def test_bool_is_not_a_dimension(self):
+        with pytest.raises(ValueError, match="sphere dimension"):
+            boundary_sphere_complex(True)
+        with pytest.raises(ValueError, match="polygon"):
+            circle_complex(True)
+        with pytest.raises(ValueError, match="dimension >= 2"):
+            connected_sum_complex(torus_complex(), torus_complex(), n=True)
 
     def test_polygon_homology(self):
         assert simplicial_homology(circle_complex(4)).ranks == {0: 1, 1: 1}
@@ -467,6 +477,109 @@ class TestGluing:
             triangulate(s_ng(4, g))
             counts.append(len(built))
         assert counts[0] == counts[1]
+
+
+def staircase_reference(K, L):
+    """The staircase product through the facet-derived constructor: the top
+    cells of each facet pair are its monotone lattice paths."""
+    verts = [(a, b) for a in K.vertices for b in L.vertices]
+    facets = []
+    for f in K.facets:
+        for h in L.facets:
+            p, q = len(f) - 1, len(h) - 1
+            for first in combinations(range(p + q), p):
+                i = j = 0
+                cell = [(f[0], h[0])]
+                for step in range(p + q):
+                    if step in first:
+                        i += 1
+                    else:
+                        j += 1
+                    cell.append((f[i], h[j]))
+                facets.append(cell)
+    return SimplicialComplex(verts, facets)
+
+
+def staircase_triangulation(expr):
+    """triangulate with every product built by staircase_reference."""
+    if isinstance(expr, Product):
+        return staircase_reference(staircase_triangulation(expr.left),
+                                   staircase_triangulation(expr.right))
+    if isinstance(expr, ConnSum):
+        return simplicial._glue([staircase_triangulation(s)
+                                 for s, k in expr.parts for _ in range(k)])
+    return triangulate(expr)
+
+
+def product_f_vector(K, L):
+    """f_d = sum over p, q of f_p(K) f_q(L) d!/((d-q)!(d-p)!(p+q-d)!)."""
+    f = [0] * (K.dim + L.dim + 1)
+    for p in range(K.dim + 1):
+        for q in range(L.dim + 1):
+            for d in range(max(p, q), p + q + 1):
+                f[d] += (K.n_simplices(p) * L.n_simplices(q) * factorial(d)
+                         // (factorial(d - q) * factorial(d - p) * factorial(p + q - d)))
+    return f
+
+
+def assert_same_complex(K, L):
+    assert K.vertices == L.vertices
+    assert K.facets == L.facets
+    assert K.dim == L.dim
+    for d in range(K.dim + 1):
+        assert K.simplices(d) == L.simplices(d)
+
+
+def staircase_cases():
+    """Each case builds a complex with the product function it is given."""
+    rng = random.Random(23)
+    rp2 = projective_plane_complex()
+    shuffled = (permuted(rp2, rng), permuted(circle_complex(5), rng))
+    circle = circle_complex(3)
+    hanging = SimplicialComplex(range(4), [(0, 1, 2), (2, 3)])
+    loose = SimplicialComplex(range(5), [(0, 1), (1, 3), (0, 3), (3, 4)])  # 2 in no facet
+    labelled = complex_from_json({"vertices": ["w", "x", "y", "z"],
+                                  "facets": [["y", "x", "z"], ["w", "z", "x"],
+                                             ["x", "y", "w"], ["z", "w", "y"]]})
+    return {
+        "RP2xRP2": lambda prod: prod(rp2, rp2),
+        "S1xS2": lambda prod: prod(circle_complex(4), boundary_sphere_complex(2)),
+        "permuted": lambda prod: prod(*shuffled),
+        "non-pure-left": lambda prod: prod(hanging, circle),
+        "non-pure-right": lambda prod: prod(circle, hanging),
+        "unused-vertex-left": lambda prod: prod(loose, circle),
+        "unused-vertex-right": lambda prod: prod(boundary_sphere_complex(2), loose),
+        "point-left": lambda prod: prod(point_complex(), boundary_sphere_complex(2)),
+        "point-right": lambda prod: prod(hanging, point_complex()),
+        "point-point": lambda prod: prod(point_complex(), point_complex()),
+        "json-labels": lambda prod: prod(labelled, hanging),
+        "product-of-products": lambda prod: prod(prod(circle, point_complex()),
+                                                 prod(hanging, labelled)),
+    }
+
+
+class TestStaircaseLattice:
+    @pytest.mark.parametrize("name", list(staircase_cases()))
+    def test_matches_the_facet_derived_reference(self, name):
+        build = staircase_cases()[name]
+        assert_same_complex(build(product_complex), build(staircase_reference))
+
+    @pytest.mark.parametrize("name", list(staircase_cases()))
+    def test_f_vector_is_the_closed_form(self, name):
+        def product(K, L):
+            P = product_complex(K, L)
+            assert [P.n_simplices(d) for d in range(P.dim + 1)] == product_f_vector(K, L)
+            return P
+
+        staircase_cases()[name](product)
+
+    # The oracle-ladder and complex-build expressions of perfbench/workloads.py.
+    @pytest.mark.parametrize("text", ["Sng(4,2)", "Sng(3,6)", "Sng(4,4)", "S3 x S2", "Sng(5,2)",
+                                      "Sng(6,1)", "S2 x S1 x S1", "Sng(6,4)", "S3 x S3",
+                                      "S2 x S2 x S2", "S2 x S1 x S1 x S1"])
+    def test_triangulate_matches_the_facet_derived_reference(self, text):
+        expr = parse_manifold(text)
+        assert_same_complex(triangulate(expr), staircase_triangulation(expr))
 
 
 class TestJson:
