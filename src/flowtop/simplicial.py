@@ -6,12 +6,14 @@ derived (a product generates it from its factors' lattices), and boundary
 matrices use the alternating-sign rule with lexicographically ordered
 bases.  Homology is computed exactly, torsion
 included.  The boundaries are reduced top-down, from d_top to d_1.  Each
-is built as sparse columns, every +-1 pivot is eliminated (exact over Z,
-and the invariant factors are unchanged), and only the residual that has
-no unit entry left goes through dense Smith normal form.  Before d_i is
-built, the columns of the i-simplices that were +-1 pivot rows of d_{i+1}
-are cleared: they are integer combinations of the columns kept, so they
-are never built (see :func:`simplicial_homology`).
+is built as sparse columns and reduced left to right, each column on its
+lowest row: a +-1 there becomes a pivot, a column whose lowest entry is
+not a unit is left for a short second pass, and every +-1 pivot is
+eliminated (exact over Z, and the invariant factors are unchanged).  Only
+the residual that has no unit entry left goes through dense Smith normal
+form.  Before d_i is built, the columns of the i-simplices that were +-1
+pivot rows of d_{i+1} are cleared: they are integer combinations of the
+columns kept, so they are never built (see :func:`simplicial_homology`).
 
 Constructors cover triangulated spheres, polygons, products (staircase
 triangulation) and connected sums; together they triangulate any manifold
@@ -139,15 +141,20 @@ class SimplicialComplex:
         return sum((-1) ** d * len(level) for d, level in enumerate(self._simplices))
 
     def _boundary_columns(self, i: int,
-                          skip: frozenset[int] = frozenset()) -> Iterator[list[tuple[int, int]]]:
-        """The columns of the i-th boundary as (row, sign) pairs, in the
+                          skip: frozenset[int] = frozenset()) -> Iterator[dict[int, int]]:
+        """The columns of the i-th boundary as {row: sign} dicts, in the
         bases and with the signs that :meth:`boundary_matrix` documents,
-        leaving out the columns whose positions are in ``skip``."""
-        row_of = {s: r for r, s in enumerate(self._simplices[i - 1])}
-        signs = [-1 if j % 2 else 1 for j in range(i + 1)]
+        leaving out the columns whose positions are in ``skip``.
+
+        ``combinations(simplex, i)`` lists the faces in increasing order,
+        the first dropping the last vertex, so the signs run from (-1)^i
+        down to (-1)^0.
+        """
+        face_row = {s: r for r, s in enumerate(self._simplices[i - 1])}.__getitem__
+        signs = [-1 if j % 2 else 1 for j in range(i, -1, -1)]
         for c, simplex in enumerate(self._simplices[i]):
             if c not in skip:
-                yield [(row_of[simplex[:j] + simplex[j + 1:]], signs[j]) for j in range(i + 1)]
+                yield dict(zip(map(face_row, combinations(simplex, i)), signs))
 
     def boundary_matrix(self, i: int) -> IntegerMatrix:
         """Sparse matrix of the i-th boundary operator, 1 <= i <= dim.
@@ -159,7 +166,7 @@ class SimplicialComplex:
         """
         if not 1 <= i <= self.dim:
             raise ValueError(f"boundary degree must lie in 1..{self.dim}, got {i}")
-        return IntegerMatrix.from_columns(map(dict, self._boundary_columns(i)),
+        return IntegerMatrix.from_columns(self._boundary_columns(i),
                                           len(self._simplices[i - 1]))
 
     def __repr__(self) -> str:
@@ -170,12 +177,21 @@ class SimplicialComplex:
 def eliminate_unit_pivots(columns: list[dict[int, int]], nrows: int) -> tuple[int, IntegerMatrix]:
     """Eliminate every +-1 pivot of a sparse integer matrix, in place.
 
-    ``columns[c]`` maps row index to a nonzero entry.  A pivot entry of +-1
-    clears its row from every other column by a column operation that stays
-    over Z; its column then holds nothing but the pivot and is split off.
-    Short columns are taken first, and within a column the pivot with the
-    shortest row, which keeps the fill-in small.  Entries that fill in and
-    grow beyond +-1 stay in the residual.
+    ``columns[c]`` maps row index to a nonzero entry.  The pivots are taken
+    on each column's lowest row (largest index), by a left-to-right column
+    reduction.  In basis order, while a column's lowest row is the pivot row
+    of an earlier column, that pivot column is subtracted from it; when its
+    lowest entry is then +-1, that row becomes its pivot.  A reduced pivot
+    column is zero below its pivot row, so on the pivot rows these columns
+    form a triangular block with +-1 on the diagonal.  The lowest row is read
+    from a lazy max-heap of the column's rows: a row whose entry cancelled is
+    skipped, and a row that fills in is pushed.
+
+    The columns whose lowest entry is not +-1 (few in practice) then have
+    their pivot rows cleared, highest row first, which leaves them zero on
+    every pivot row.  Any +-1 entry left among them is then a pivot too: it
+    clears its row from the others, so each such pivot is zero on every
+    earlier pivot row.  All of this is column operations over Z.
 
     Returns the number of pivots and the residual: the columns left, on the
     rows they touch, none of whose entries is +-1.  The matrix is equivalent
@@ -187,48 +203,64 @@ def eliminate_unit_pivots(columns: list[dict[int, int]], nrows: int) -> tuple[in
     its part of the residual (on the original rows).  As the residual holds
     no +-1, the +-1 entries left in ``columns`` are exactly the pivot rows.
     """
-    rows: list[set[int]] = [set() for _ in range(nrows)]
+    pivot_of: dict[int, int] = {}  # pivot row -> its column
+    rest: list[int] = []
     for c, col in enumerate(columns):
-        for r in col:
-            rows[r].add(c)
-    queue = [(len(col), c) for c, col in enumerate(columns) if col]
-    heapify(queue)
-    split: list[tuple[int, int, int]] = []
-    while queue:
-        length, c = heappop(queue)
-        col = columns[c]
-        if len(col) != length:
-            continue  # stale: the column changed after it was queued
-        pivot_row = -1
-        for r, x in col.items():
-            if (x == 1 or x == -1) and (pivot_row < 0 or len(rows[r]) < len(rows[pivot_row])):
-                pivot_row = r
-        if pivot_row < 0:
-            continue
-        sign = col[pivot_row]
-        for r in col:
-            rows[r].discard(c)
-        for c2 in rows[pivot_row].copy():
-            other = columns[c2]
-            q = other[pivot_row] * sign
-            for r, x in col.items():
-                y = other.get(r, 0) - q * x
-                if y:
-                    if r not in other:
-                        rows[r].add(c2)
-                    other[r] = y
+        heap = [-r for r in col]
+        heapify(heap)
+        while col:
+            low = -heap[0]
+            if low not in col:
+                heappop(heap)  # cancelled
+            elif low in pivot_of:
+                pivot = columns[pivot_of[low]]
+                _subtract(col, pivot, col[low] * pivot[low], heap)
+            else:
+                if col[low] == 1 or col[low] == -1:
+                    pivot_of[low] = c
                 else:
-                    del other[r]
-                    rows[r].discard(c2)
-            heappush(queue, (len(other), c2))
-        columns[c] = {}
-        split.append((c, pivot_row, sign))
-    left = [col for col in columns if col]
-    renumber = {r: k for k, r in enumerate(sorted({r for col in left for r in col}))}
-    residual = ({renumber[r]: x for r, x in col.items()} for col in left)
-    for c, r, sign in split:
-        columns[c] = {r: sign}
-    return len(split), IntegerMatrix.from_columns(residual, len(renumber))
+                    rest.append(c)
+                break
+    for c in rest:
+        col = columns[c]
+        heap = [-r for r in col]
+        heapify(heap)
+        while heap:
+            r = -heappop(heap)
+            if r in col and r in pivot_of:
+                pivot = columns[pivot_of[r]]
+                _subtract(col, pivot, col[r] * pivot[r], heap)
+    left = [c for c in rest if columns[c]]
+    while unit := next(((c, r) for c in left for r, x in columns[c].items()
+                        if x == 1 or x == -1), None):
+        c, r = unit
+        left.remove(c)
+        col = columns[c]
+        for c2 in left:
+            other = columns[c2]
+            if r in other:
+                _subtract(other, col, other[r] * col[r], [])
+        pivot_of[r] = c
+    for r, c in pivot_of.items():
+        columns[c] = {r: columns[c][r]}
+    kept = [columns[c] for c in left if columns[c]]
+    renumber = {r: k for k, r in enumerate(sorted({r for col in kept for r in col}))}
+    residual = ({renumber[r]: x for r, x in col.items()} for col in kept)
+    return len(pivot_of), IntegerMatrix.from_columns(residual, len(renumber))
+
+
+def _subtract(col: dict[int, int], pivot: dict[int, int], q: int, heap: list[int]) -> None:
+    """col -= q * pivot, pushing each row that fills in onto the max-heap."""
+    for r, x in pivot.items():
+        if r in col:
+            y = col[r] - q * x
+            if y:
+                col[r] = y
+            else:
+                del col[r]
+        else:
+            col[r] = -q * x
+            heappush(heap, -r)
 
 
 def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
@@ -243,21 +275,24 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     all of which come from the residual.
 
     Clearing: the columns of d_i whose i-simplices were +-1 pivot rows of
-    d_{i+1} are never built.  When a pivot of d_{i+1} is taken, its reduced
-    column z_k is an integer combination of columns of d_{i+1}, so it lies
-    in ker d_i; it has +-1 at its own pivot row r_k and 0 at every earlier
-    pivot row.  On the pivot rows R the block Z_R of these columns is
-    therefore triangular with +-1 on the diagonal, hence unimodular, and
-    d_i Z = 0 gives D_R = -D_S Z_S Z_R^-1 for the other columns S.  Every
-    cleared column is an integer combination of the kept ones, so the image
-    lattice of d_i, its rank and every invariant factor are unchanged.
+    d_{i+1} are never built.  Each pivot of d_{i+1} has a reduced column
+    z_k, an integer combination of columns of d_{i+1}, so it lies in
+    ker d_i, with +-1 at its pivot row r_k.  A pivot taken on its column's
+    lowest row has a reduced column that is zero below r_k, so on these
+    pivot rows the block of these columns is triangular with +-1 on the
+    diagonal.  A pivot found later among the leftover columns is zero on
+    every earlier pivot row.  On all the pivot rows R the block Z_R is
+    therefore block triangular with +-1 on the diagonal, hence unimodular,
+    and d_i Z = 0 gives D_R = -D_S Z_S Z_R^-1 for the other columns S.
+    Every cleared column is an integer combination of the kept ones, so the
+    image lattice of d_i, its rank and every invariant factor are unchanged.
     """
     top = K.dim
     rank_d: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     cleared: frozenset[int] = frozenset()
     for i in range(top, 0, -1):
-        columns = [dict(entries) for entries in K._boundary_columns(i, cleared)]
+        columns = list(K._boundary_columns(i, cleared))
         pivots, residual = eliminate_unit_pivots(columns, K.n_simplices(i - 1))
         # the residual holds no +-1, so these are the pivot rows of d_i
         cleared = frozenset(r for col in columns for r, x in col.items() if x == 1 or x == -1)

@@ -419,6 +419,104 @@ class TestClearing:
             assert sum(1 for col in columns if col) - pivots == residual.ncols
 
 
+def low_heavy_columns(rng, nrows, ncols):
+    """Sparse columns whose lowest entry is mostly +-2 or +-3, with +-1
+    entries above it, so that many columns reach the second pass."""
+    columns = []
+    for _ in range(ncols):
+        col = {}
+        if rng.random() > 0.1:
+            rows = sorted(rng.sample(range(nrows), rng.randint(1, min(4, nrows))))
+            for r in rows[:-1]:
+                col[r] = rng.choice([1, -1, 1, -1, 2, -3])
+            col[rows[-1]] = rng.choice([2, -2, 3, -3, 2, -3, 1, -1])
+        columns.append(col)
+    return columns
+
+
+def assert_elimination_contract(columns, pivots, residual):
+    """Split-off columns are single units on distinct rows; the others are
+    the residual's columns, in order, on the original rows and off every
+    pivot row."""
+    units, others = [], []
+    for col in columns:
+        if any(x in (1, -1) for x in col.values()):
+            units.append(col)
+        elif col:
+            others.append(col)
+    assert len(units) == pivots
+    assert all(len(col) == 1 for col in units)
+    pivot_rows = {r for col in units for r in col}
+    assert len(pivot_rows) == pivots
+    assert not pivot_rows & {r for col in others for r in col}
+    rows = sorted({r for col in others for r in col})
+    assert residual.shape == (len(rows), len(others))
+    assert all(residual[i, j] == col.get(r, 0)
+               for j, col in enumerate(others) for i, r in enumerate(rows))
+
+
+def checked_factors(columns, nrows):
+    """Nonzero invariant factors from elimination of a copy of columns,
+    with the elimination contract asserted, and the residual."""
+    work = [dict(c) for c in columns]
+    pivots, residual = eliminate_unit_pivots(work, nrows)
+    assert_elimination_contract(work, pivots, residual)
+    diag = smith_diagonal(residual) if residual.nrows else []
+    return [1] * pivots + [x for x in diag if x], residual
+
+
+class TestLowPivotReduction:
+    def test_unit_above_a_non_unit_lowest_entry_is_a_pivot(self):
+        # Column 1's lowest entry is 2, with a 1 higher up: the first pass
+        # leaves it, the second clears pivot row 2 from it and takes row 0.
+        columns = [{1: 1, 2: 1}, {0: 1, 2: 1, 3: 2}, {0: 2, 3: 4}]
+        assert dense_factors(columns, 4) == [1, 1, 2]
+        pivots, residual = eliminate_unit_pivots(columns, 4)
+        assert pivots == 2
+        assert columns[:2] == [{2: 1}, {0: 1}]
+        assert_elimination_contract(columns, pivots, residual)
+        assert residual.shape == (1, 1) and abs(residual[0, 0]) == 2
+
+    def test_low_heavy_matrices_match_dense_smith_form(self):
+        reached = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+            columns = low_heavy_columns(rng, nrows, ncols)
+            factors, residual = checked_factors(columns, nrows)
+            assert factors == dense_factors(columns, nrows), (seed, columns)
+            reached += residual.ncols > 0
+        assert reached > 100
+
+    def test_column_order_does_not_change_invariant_factors(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+            columns = low_heavy_columns(rng, nrows, ncols)
+            want, _ = checked_factors(columns, nrows)
+            random.Random(seed + 1000).shuffle(columns)
+            got, _ = checked_factors(columns, nrows)
+            assert got == want, seed
+
+    def test_top_boundary_of_a_closed_orientable_manifold(self):
+        K = triangulate(parse_manifold("S1 x S1 x S1 x S1"))
+        columns = list(K._boundary_columns(4))
+        pivots, residual = eliminate_unit_pivots(columns, K.n_simplices(3))
+        assert pivots == K.n_simplices(4) - 1
+        assert residual.shape == (0, 0)
+        assert_elimination_contract(columns, pivots, residual)
+
+    @pytest.mark.parametrize("make", [
+        lambda: product_complex(projective_plane_complex(), projective_plane_complex()),
+        lambda: triangulate(parse_manifold("Sng(5,2)")),
+        lambda: triangulate(parse_manifold("S3 x S3")),
+    ])
+    def test_boundary_columns_match_the_reference(self, make):
+        K = make()
+        for i in range(1, K.dim + 1):
+            assert list(K._boundary_columns(i)) == full_boundary_columns(K, i), i
+
+
 class TestTriangulate:
     @pytest.mark.parametrize("text", ["S1", "S3", "S1 x S1", "Sng(2,2)", "Sng(3,1)"])
     def test_matches_engine(self, text):
