@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from typing import Any
 
 from .expressions import dimension, parse_manifold
@@ -36,7 +37,7 @@ def _resolved_format(args) -> str:
     return "human" if sys.stdout.isatty() else "json"
 
 
-def _emit(args, payload: dict, human_lines: list[str]) -> None:
+def _emit(args, payload: dict, human_lines: Iterable[str]) -> None:
     if _resolved_format(args) == "json":
         print(json.dumps(payload))
     else:
@@ -61,9 +62,10 @@ def _group_term(rank: int, factors: tuple[int, ...]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _graded_lines(group: GradedGroup, top: int) -> list[str]:
-    return [f"H_{d} = {_group_term(group.rank(d), group.invariant_factors(d))}"
-            for d in range(top + 1)]
+def _graded_lines(group: GradedGroup, top: int) -> Iterator[str]:
+    """One line per degree, built only as the human format prints them."""
+    for d in range(top + 1):
+        yield f"H_{d} = {_group_term(group.rank(d), group.invariant_factors(d))}"
 
 
 def _load_json_file(path: str) -> Any:

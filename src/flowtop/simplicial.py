@@ -7,13 +7,13 @@ matrices use the alternating-sign rule with lexicographically ordered
 bases.  Homology is computed exactly, torsion
 included.  The boundaries are reduced top-down, from d_top to d_1.  Each
 is built as sparse columns and reduced left to right, each column on its
-lowest row: a +-1 there becomes a pivot, a column whose lowest entry is
-not a unit is left for a short second pass, and every +-1 pivot is
-eliminated (exact over Z, and the invariant factors are unchanged).  Only
-the residual that has no unit entry left goes through dense Smith normal
-form.  Before d_i is built, the columns of the i-simplices that were +-1
-pivot rows of d_{i+1} are cleared: they are integer combinations of the
-columns kept, so they are never built (see :func:`simplicial_homology`).
+lowest row: a +-1 there becomes a pivot, and the pivot rows are cleared
+from the few columns whose lowest entry is not a unit (exact over Z, and
+the invariant factors are unchanged).  Only those columns, the residual,
+go through dense Smith normal form.  Before d_i is built, the columns of
+the i-simplices that were pivot rows of d_{i+1} are cleared: they are
+integer combinations of the columns kept, so they are never built (see
+:func:`simplicial_homology`).
 
 Constructors cover triangulated spheres, polygons, products (staircase
 triangulation) and connected sums; together they triangulate any manifold
@@ -22,7 +22,7 @@ expression via :func:`triangulate`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, groupby
 from operator import itemgetter
@@ -82,22 +82,16 @@ class SimplicialComplex:
             facet_set.add(tuple(sorted(ixs)))
         if not facet_set:
             raise ValueError("a complex needs at least one facet")
-        # A facet is dropped when it is a proper face of a larger one; only
-        # the facet sizes that occur are generated, so a pure list costs one pass.
-        sizes = sorted({len(f) for f in facet_set})
-        covered: set[tuple[int, ...]] = set()
-        for g in facet_set:
-            for size in sizes:
-                if size >= len(g):
-                    break
-                covered.update(combinations(g, size))
-        maximal = [f for f in facet_set if f not in covered]
-
-        dim = max(len(f) for f in maximal) - 1
+        # Largest first: a facet already in the lattice is a proper face of
+        # a larger one, so it is dropped and not expanded.
+        dim = max(map(len, facet_set)) - 1
         lattice: list[set[tuple[int, ...]]] = [set() for _ in range(dim + 1)]
-        for f in maximal:
-            for size in range(1, len(f) + 1):
-                lattice[size - 1].update(combinations(f, size))
+        maximal = []
+        for f in sorted(facet_set, key=len, reverse=True):
+            if f not in lattice[len(f) - 1]:
+                maximal.append(f)
+                for size in range(1, len(f) + 1):
+                    lattice[size - 1].update(combinations(f, size))
 
         self._labels = tuple(labels)
         self._facets = tuple(sorted(maximal))
@@ -174,8 +168,8 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim={self.dim}, simplex_counts={counts})"
 
 
-def eliminate_unit_pivots(columns: list[dict[int, int]], nrows: int) -> tuple[int, IntegerMatrix]:
-    """Eliminate every +-1 pivot of a sparse integer matrix, in place.
+def eliminate_unit_pivots(columns: list[dict[int, int]]) -> tuple[dict[int, int], IntegerMatrix]:
+    """Split the +-1 pivots off a sparse integer matrix, in place.
 
     ``columns[c]`` maps row index to a nonzero entry.  The pivots are taken
     on each column's lowest row (largest index), by a left-to-right column
@@ -189,19 +183,17 @@ def eliminate_unit_pivots(columns: list[dict[int, int]], nrows: int) -> tuple[in
 
     The columns whose lowest entry is not +-1 (few in practice) then have
     their pivot rows cleared, highest row first, which leaves them zero on
-    every pivot row.  Any +-1 entry left among them is then a pivot too: it
-    clears its row from the others, so each such pivot is zero on every
-    earlier pivot row.  All of this is column operations over Z.
+    every pivot row.  Adding multiples of the pivot rows to the other rows
+    then clears the pivot columns off them and leaves the rest untouched,
+    and the triangular pivot block is unimodular, so the matrix is
+    equivalent over Z to an identity block beside the rest: its invariant
+    factors are the pivots' 1s followed by the residual's.
 
-    Returns the number of pivots and the residual: the columns left, on the
-    rows they touch, none of whose entries is +-1.  The matrix is equivalent
-    over Z to an identity block of that size beside the residual, so its
-    invariant factors are the pivots' 1s followed by the residual's.
-
-    Afterwards each split-off column of ``columns`` is left as
-    ``{pivot_row: +-1}``, no two on the same row, and every other column as
-    its part of the residual (on the original rows).  As the residual holds
-    no +-1, the +-1 entries left in ``columns`` are exactly the pivot rows.
+    Returns the pivots, as a dict from pivot row to its column, and the
+    residual: the non-empty columns left, in order, on the rows they touch.
+    The residual may still hold +-1 entries.  Afterwards each pivot column
+    of ``columns`` holds its reduced column and every other column its part
+    of the residual (on the original rows).
     """
     pivot_of: dict[int, int] = {}  # pivot row -> its column
     rest: list[int] = []
@@ -230,23 +222,10 @@ def eliminate_unit_pivots(columns: list[dict[int, int]], nrows: int) -> tuple[in
             if r in col and r in pivot_of:
                 pivot = columns[pivot_of[r]]
                 _subtract(col, pivot, col[r] * pivot[r], heap)
-    left = [c for c in rest if columns[c]]
-    while unit := next(((c, r) for c in left for r, x in columns[c].items()
-                        if x == 1 or x == -1), None):
-        c, r = unit
-        left.remove(c)
-        col = columns[c]
-        for c2 in left:
-            other = columns[c2]
-            if r in other:
-                _subtract(other, col, other[r] * col[r], [])
-        pivot_of[r] = c
-    for r, c in pivot_of.items():
-        columns[c] = {r: columns[c][r]}
-    kept = [columns[c] for c in left if columns[c]]
+    kept = [columns[c] for c in rest if columns[c]]
     renumber = {r: k for k, r in enumerate(sorted({r for col in kept for r in col}))}
     residual = ({renumber[r]: x for r, x in col.items()} for col in kept)
-    return len(pivot_of), IntegerMatrix.from_columns(residual, len(renumber))
+    return pivot_of, IntegerMatrix.from_columns(residual, len(renumber))
 
 
 def _subtract(col: dict[int, int], pivot: dict[int, int], q: int, heap: list[int]) -> None:
@@ -267,38 +246,32 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     """Integer homology of K from the invariant factors of its boundary maps.
 
     The boundaries are taken top-down, from d_top to d_1.  Each d_i is
-    built as sparse columns and its +-1 pivots are eliminated
+    built as sparse columns and its +-1 pivots are split off
     (:func:`eliminate_unit_pivots`); only the residual goes to dense Smith
     normal form.  rank d_i is the number of pivots plus the residual's
     rank.  rank H_i = (#i-simplices) - rank d_i - rank d_{i+1}, and the
     torsion of H_i is the set of invariant factors of d_{i+1} exceeding 1,
     all of which come from the residual.
 
-    Clearing: the columns of d_i whose i-simplices were +-1 pivot rows of
+    Clearing: the columns of d_i whose i-simplices were pivot rows of
     d_{i+1} are never built.  Each pivot of d_{i+1} has a reduced column
     z_k, an integer combination of columns of d_{i+1}, so it lies in
-    ker d_i, with +-1 at its pivot row r_k.  A pivot taken on its column's
-    lowest row has a reduced column that is zero below r_k, so on these
-    pivot rows the block of these columns is triangular with +-1 on the
-    diagonal.  A pivot found later among the leftover columns is zero on
-    every earlier pivot row.  On all the pivot rows R the block Z_R is
-    therefore block triangular with +-1 on the diagonal, hence unimodular,
-    and d_i Z = 0 gives D_R = -D_S Z_S Z_R^-1 for the other columns S.
-    Every cleared column is an integer combination of the kept ones, so the
-    image lattice of d_i, its rank and every invariant factor are unchanged.
+    ker d_i, with +-1 at its pivot row r_k and zero below it.  On the pivot
+    rows R the block Z_R of these columns is therefore triangular with +-1
+    on the diagonal, hence unimodular, and d_i Z = 0 gives
+    D_R = -D_S Z_S Z_R^-1 for the other columns S.  Every cleared column is
+    an integer combination of the kept ones, so the image lattice of d_i,
+    its rank and every invariant factor are unchanged.
     """
     top = K.dim
     rank_d: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
     cleared: frozenset[int] = frozenset()
     for i in range(top, 0, -1):
-        columns = list(K._boundary_columns(i, cleared))
-        pivots, residual = eliminate_unit_pivots(columns, K.n_simplices(i - 1))
-        # the residual holds no +-1, so these are the pivot rows of d_i
-        cleared = frozenset(r for col in columns for r, x in col.items() if x == 1 or x == -1)
-        del columns
+        pivots, residual = eliminate_unit_pivots(list(K._boundary_columns(i, cleared)))
+        cleared = frozenset(pivots)
         diag = smith_diagonal(residual) if residual.nrows else []
-        rank_d[i] = pivots + sum(1 for x in diag if x)
+        rank_d[i] = len(pivots) + sum(1 for x in diag if x)
         factors = tuple(x for x in diag if x > 1)
         if factors:
             torsion[i - 1] = factors
@@ -359,7 +332,6 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
     has at most p + q + 1 vertices, so each is maximal.
     """
     width = len(L._labels)
-    walks: dict[tuple[int, int, int], list[Callable[[list[int]], tuple[int, ...]]]] = {}
 
     def grids(faces_K: Iterable[tuple[int, ...]],
               faces_L: Iterable[tuple[int, ...]]) -> list[list[int]]:
@@ -372,21 +344,19 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
 
     def cells(pairs: list[list[int]], p: int, q: int, d: int) -> list[tuple[int, ...]]:
         """The d-simplices over the grids of p-faces by q-faces in pairs."""
-        if (p, q, d) not in walks:
-            words = []
-            for down in combinations(range(d), d - q):
-                rest = [k for k in range(d) if k not in down]
-                for across in combinations(rest, d - p):
-                    i = j = 0
-                    path = [0]
-                    for k in range(d):
-                        i += k not in across
-                        j += k not in down
-                        path.append(i * (q + 1) + j)
-                    # itemgetter of one index returns the item, not a 1-tuple
-                    words.append(itemgetter(*path) if d else tuple)
-            walks[p, q, d] = words
-        return [word(grid) for word in walks[p, q, d] for grid in pairs]
+        words = []
+        for down in combinations(range(d), d - q):
+            rest = [k for k in range(d) if k not in down]
+            for across in combinations(rest, d - p):
+                i = j = 0
+                path = [0]
+                for k in range(d):
+                    i += k not in across
+                    j += k not in down
+                    path.append(i * (q + 1) + j)
+                # itemgetter of one index returns the item, not a 1-tuple
+                words.append(itemgetter(*path) if d else tuple)
+        return [word(grid) for word in words for grid in pairs]
 
     levels: list[list[tuple[int, ...]]] = [[] for _ in range(K.dim + L.dim + 1)]
     for p, faces_K in enumerate(K._simplices):

@@ -50,6 +50,13 @@ class TestHomologyCommand:
         assert code == 0
         assert json.loads(out)["ranks"] == {"0": 1, "1": g, "5": g, "6": 1}
 
+    def test_huge_dimension_json_builds_no_human_lines(self, capsys):
+        # The human listing would have a billion lines; JSON has two entries.
+        with address_space_cap():
+            code, out, _ = run(capsys, "homology", "S999999999", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["ranks"] == {"0": 1, "999999999": 1}
+
     def test_grammar_error_exits_2(self, capsys):
         code, _, err = run(capsys, "homology", "S2 #")
         assert code == 2

@@ -58,6 +58,21 @@ class TestConstruction:
         assert K.facets == ((0, 1, 2), (2, 3), (4,))
         assert [K.n_simplices(d) for d in range(3)] == [5, 4, 1]
 
+    def test_random_non_pure_facet_sets_match_brute_force(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(1, 8)
+            facets = [rng.sample(range(n), rng.randint(1, n))
+                      for _ in range(rng.randint(1, 25))]
+            K = SimplicialComplex(range(n), facets)
+            sets = {frozenset(f) for f in facets}
+            maximal = sorted(tuple(sorted(f)) for f in sets if not any(f < g for g in sets))
+            assert list(K.facets) == maximal, seed
+            for d in range(K.dim + 1):
+                faces = {s for f in maximal for s in combinations(f, d + 1)}
+                assert K.simplices(d) == sorted(faces), (seed, d)
+            assert K.dim == max(map(len, maximal)) - 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SimplicialComplex([], [])
@@ -242,13 +257,11 @@ class TestTorsion:
         assert group.torsion == {1: (2,)}
 
 
-def eliminated_factors(columns, nrows):
+def eliminated_factors(columns):
     """Nonzero invariant factors from unit-pivot elimination plus the residual."""
-    pivots, residual = eliminate_unit_pivots(columns, nrows)
-    assert all(abs(residual[i, j]) != 1
-               for i in range(residual.nrows) for j in range(residual.ncols))
+    pivots, residual = eliminate_unit_pivots(columns)
     diag = smith_diagonal(residual) if residual.nrows else []
-    return [1] * pivots + [x for x in diag if x], residual
+    return [1] * len(pivots) + [x for x in diag if x], residual
 
 
 def dense_factors(columns, nrows):
@@ -286,14 +299,14 @@ def permuted(K, rng):
 class TestUnitPivotElimination:
     def test_fill_in_beyond_unit_stays_in_residual(self):
         columns = [{0: 1, 1: 1}, {0: 1, 1: -1}]
-        factors, residual = eliminated_factors([dict(c) for c in columns], 2)
+        factors, residual = eliminated_factors([dict(c) for c in columns])
         assert residual.shape == (1, 1)
         assert abs(residual[0, 0]) == 2
         assert factors == dense_factors(columns, 2) == [1, 2]
 
     def test_no_unit_entry_leaves_the_matrix_whole(self):
         columns = [{0: 2, 2: 4}, {}, {0: 6, 2: -2}]
-        factors, residual = eliminated_factors([dict(c) for c in columns], 3)
+        factors, residual = eliminated_factors([dict(c) for c in columns])
         # the zero row 1 and zero column 1 are dropped from the residual
         assert residual.shape == (2, 2)
         assert factors == dense_factors(columns, 3) == [2, 14]
@@ -306,7 +319,7 @@ class TestUnitPivotElimination:
             columns = random_sparse_columns(rng, nrows, ncols)
             want = dense_factors(columns, nrows)
             # elimination mutates its input, so pass a copy
-            got, residual = eliminated_factors([dict(c) for c in columns], nrows)
+            got, residual = eliminated_factors([dict(c) for c in columns])
             assert got == want, (seed, columns)
             original = {abs(x) for c in columns for x in c.values()}
             grew += any(abs(residual[i, j]) not in original
@@ -337,10 +350,9 @@ def homology_without_clearing(K):
     of the residual on every full boundary, in any order."""
     rank_d, torsion = {}, {}
     for i in range(1, K.dim + 1):
-        pivots, residual = eliminate_unit_pivots(full_boundary_columns(K, i),
-                                                 K.n_simplices(i - 1))
+        pivots, residual = eliminate_unit_pivots(full_boundary_columns(K, i))
         diag = smith_diagonal(residual) if residual.nrows else []
-        rank_d[i] = pivots + sum(1 for x in diag if x)
+        rank_d[i] = len(pivots) + sum(1 for x in diag if x)
         if any(x > 1 for x in diag):
             torsion[i - 1] = tuple(x for x in diag if x > 1)
     ranks = {i: K.n_simplices(i) - rank_d.get(i, 0) - rank_d.get(i + 1, 0)
@@ -384,44 +396,38 @@ class TestClearing:
     def test_cleared_columns_are_never_built(self, K, monkeypatch):
         calls = []
 
-        def recording(columns, nrows):
+        def recording(columns):
             n_columns = len(columns)
-            pivots, residual = eliminate_unit_pivots(columns, nrows)
-            calls.append((n_columns, nrows, pivots))
+            pivots, residual = eliminate_unit_pivots(columns)
+            calls.append((n_columns, len(pivots)))
             return pivots, residual
 
         monkeypatch.setattr(simplicial, "eliminate_unit_pivots", recording)
         simplicial_homology(K)
         # one call per boundary, top-down: d_top, ..., d_1
-        assert [nrows for _, nrows, _ in calls] == [K.n_simplices(i - 1)
-                                                    for i in range(K.dim, 0, -1)]
+        assert len(calls) == K.dim
         # d_i gets the i-simplices that were not pivot rows of d_{i+1}
         pivots_above = 0
-        for (n_columns, _, pivots), i in zip(calls, range(K.dim, 0, -1)):
+        for (n_columns, pivots), i in zip(calls, range(K.dim, 0, -1)):
             assert n_columns == K.n_simplices(i) - pivots_above
             pivots_above = pivots
-        assert calls[0][2] > 0
+        assert calls[0][1] > 0
 
-    def test_split_off_columns_are_single_units_on_distinct_rows(self):
-        matrices = [(full_boundary_columns(K, i), K.n_simplices(i - 1))
+    def test_pivot_columns_end_in_units_on_distinct_rows(self):
+        matrices = [full_boundary_columns(K, i)
                     for K in rp2_products_and_sums() for i in range(1, K.dim + 1)]
         for seed in range(150):
             rng = random.Random(seed)
             nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
-            matrices.append((random_sparse_columns(rng, nrows, ncols), nrows))
-        for columns, nrows in matrices:
-            pivots, residual = eliminate_unit_pivots(columns, nrows)
-            units = [col for col in columns if any(x in (1, -1) for x in col.values())]
-            assert len(units) == pivots
-            assert all(len(col) == 1 for col in units)
-            assert len({r for col in units for r in col}) == pivots
-            # the other non-empty columns are the residual, on the original rows
-            assert sum(1 for col in columns if col) - pivots == residual.ncols
+            matrices.append(random_sparse_columns(rng, nrows, ncols))
+        for columns in matrices:
+            pivots, residual = eliminate_unit_pivots(columns)
+            assert_elimination_contract(columns, pivots, residual)
 
 
 def low_heavy_columns(rng, nrows, ncols):
     """Sparse columns whose lowest entry is mostly +-2 or +-3, with +-1
-    entries above it, so that many columns reach the second pass."""
+    entries above it, so that many columns are left for the residual."""
     columns = []
     for _ in range(ncols):
         col = {}
@@ -435,47 +441,44 @@ def low_heavy_columns(rng, nrows, ncols):
 
 
 def assert_elimination_contract(columns, pivots, residual):
-    """Split-off columns are single units on distinct rows; the others are
-    the residual's columns, in order, on the original rows and off every
-    pivot row."""
-    units, others = [], []
-    for col in columns:
-        if any(x in (1, -1) for x in col.values()):
-            units.append(col)
-        elif col:
-            others.append(col)
-    assert len(units) == pivots
-    assert all(len(col) == 1 for col in units)
-    pivot_rows = {r for col in units for r in col}
-    assert len(pivot_rows) == pivots
-    assert not pivot_rows & {r for col in others for r in col}
+    """Each pivot column has +-1 on its pivot row and nothing below it; the
+    other non-empty columns are the residual's, in order, on the original
+    rows and off every pivot row."""
+    pivot_columns = set(pivots.values())
+    assert len(pivot_columns) == len(pivots)
+    for r, c in pivots.items():
+        assert columns[c][r] in (1, -1)
+        assert max(columns[c]) == r
+    others = [col for c, col in enumerate(columns) if col and c not in pivot_columns]
+    assert not set(pivots) & {r for col in others for r in col}
     rows = sorted({r for col in others for r in col})
     assert residual.shape == (len(rows), len(others))
     assert all(residual[i, j] == col.get(r, 0)
                for j, col in enumerate(others) for i, r in enumerate(rows))
 
 
-def checked_factors(columns, nrows):
+def checked_factors(columns):
     """Nonzero invariant factors from elimination of a copy of columns,
     with the elimination contract asserted, and the residual."""
     work = [dict(c) for c in columns]
-    pivots, residual = eliminate_unit_pivots(work, nrows)
+    pivots, residual = eliminate_unit_pivots(work)
     assert_elimination_contract(work, pivots, residual)
     diag = smith_diagonal(residual) if residual.nrows else []
-    return [1] * pivots + [x for x in diag if x], residual
+    return [1] * len(pivots) + [x for x in diag if x], residual
 
 
 class TestLowPivotReduction:
-    def test_unit_above_a_non_unit_lowest_entry_is_a_pivot(self):
-        # Column 1's lowest entry is 2, with a 1 higher up: the first pass
-        # leaves it, the second clears pivot row 2 from it and takes row 0.
+    def test_unit_above_a_non_unit_lowest_entry_stays_in_the_residual(self):
+        # Column 1's lowest entry is 2, with a 1 higher up: it is not a
+        # pivot; clearing pivot row 2 from it leaves it on rows 0, 1 and 3.
         columns = [{1: 1, 2: 1}, {0: 1, 2: 1, 3: 2}, {0: 2, 3: 4}]
         assert dense_factors(columns, 4) == [1, 1, 2]
-        pivots, residual = eliminate_unit_pivots(columns, 4)
-        assert pivots == 2
-        assert columns[:2] == [{2: 1}, {0: 1}]
+        pivots, residual = eliminate_unit_pivots(columns)
+        assert pivots == {2: 0}
+        assert columns[1] == {0: 1, 1: -1, 3: 2}
         assert_elimination_contract(columns, pivots, residual)
-        assert residual.shape == (1, 1) and abs(residual[0, 0]) == 2
+        assert residual.shape == (3, 2)
+        assert [1] + [x for x in smith_diagonal(residual) if x] == [1, 1, 2]
 
     def test_low_heavy_matrices_match_dense_smith_form(self):
         reached = 0
@@ -483,7 +486,7 @@ class TestLowPivotReduction:
             rng = random.Random(seed)
             nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
             columns = low_heavy_columns(rng, nrows, ncols)
-            factors, residual = checked_factors(columns, nrows)
+            factors, residual = checked_factors(columns)
             assert factors == dense_factors(columns, nrows), (seed, columns)
             reached += residual.ncols > 0
         assert reached > 100
@@ -493,16 +496,16 @@ class TestLowPivotReduction:
             rng = random.Random(seed)
             nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
             columns = low_heavy_columns(rng, nrows, ncols)
-            want, _ = checked_factors(columns, nrows)
+            want, _ = checked_factors(columns)
             random.Random(seed + 1000).shuffle(columns)
-            got, _ = checked_factors(columns, nrows)
+            got, _ = checked_factors(columns)
             assert got == want, seed
 
     def test_top_boundary_of_a_closed_orientable_manifold(self):
         K = triangulate(parse_manifold("S1 x S1 x S1 x S1"))
         columns = list(K._boundary_columns(4))
-        pivots, residual = eliminate_unit_pivots(columns, K.n_simplices(3))
-        assert pivots == K.n_simplices(4) - 1
+        pivots, residual = eliminate_unit_pivots(columns)
+        assert len(pivots) == K.n_simplices(4) - 1
         assert residual.shape == (0, 0)
         assert_elimination_contract(columns, pivots, residual)
 
