@@ -121,7 +121,13 @@ class ConnSum:
         return tuple(s for s, k in self.parts for _ in range(k))
 
     def __repr__(self) -> str:
-        return f"ConnSum(summands={self.summands!r})"
+        """One entry per run, a run of k > 1 copies as a nested ConnSum, so
+        the text does not grow with the copies and evaluates back to self."""
+        if len(self.parts) == 1:
+            (s, k), = self.parts
+            return f"ConnSum(summands=({s!r},), copies={k})"
+        runs = ", ".join(repr(s) if k == 1 else repr(ConnSum((s,), k)) for s, k in self.parts)
+        return f"ConnSum(summands=({runs}))"
 
 
 ManifoldExpr = SphereAtom | Product | ConnSum
@@ -303,7 +309,11 @@ def parse_manifold(text: str) -> ManifoldExpr:
 
 
 def render_manifold(expr: ManifoldExpr) -> str:
-    """Canonical text form; ``parse_manifold(render_manifold(e)) == e``."""
+    """Canonical text form; ``parse_manifold(render_manifold(e)) == e``.
+
+    A run of k >= 2 copies of S^(n-1) x S^1 is written ``Sng(n,k)``; other
+    runs write out every copy.
+    """
     if isinstance(expr, SphereAtom):
         return f"S{expr.k}"
     if isinstance(expr, Product):
@@ -315,5 +325,13 @@ def render_manifold(expr: ManifoldExpr) -> str:
             right = f"({right})"
         return f"{left} x {right}"
     if isinstance(expr, ConnSum):
-        return " # ".join(render_manifold(s) for s in expr.summands)
+        return " # ".join(_render_run(s, k) for s, k in expr.parts)
     raise TypeError(f"not a manifold expression: {expr!r}")
+
+
+def _render_run(summand: ManifoldExpr, copies: int) -> str:
+    """``copies`` equal summands of a connected sum, '#'-joined."""
+    n = dimension(summand)
+    if copies > 1 and summand == s_ng(n, 1):
+        return f"Sng({n},{copies})"
+    return " # ".join([render_manifold(summand)] * copies)

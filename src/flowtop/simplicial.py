@@ -6,13 +6,16 @@ derived (a product generates it from its factors' lattices), and boundary
 matrices use the alternating-sign rule with lexicographically ordered
 bases.  Homology is computed exactly, torsion
 included.  The boundaries are reduced top-down, from d_top to d_1.  Each
-is built as sparse columns and reduced left to right, each column on its
-lowest row: a +-1 there becomes a pivot, and the pivot rows are cleared
-from the few columns whose lowest entry is not a unit (exact over Z, and
-the invariant factors are unchanged).  Only those columns, the residual,
-go through dense Smith normal form.  Before d_i is built, the columns of
-the i-simplices that were pivot rows of d_{i+1} are cleared: they are
-integer combinations of the columns kept, so they are never built (see
+is reduced as sparse columns, left to right, each column on its lowest
+row: a +-1 there becomes a pivot, and the pivot rows are cleared from the
+few columns whose lowest entry is not a unit (exact over Z, and the
+invariant factors are unchanged).  Only those columns, the residual, go
+through dense Smith normal form.  The columns of the i-simplices that
+were pivot rows of d_{i+1} are cleared: they are integer combinations of
+the columns kept, so they are never built.  Of the kept columns, most are
+emergent pairs: the lowest row of the column of s is the row of s[1:],
+with entry +1, so when no earlier column pivots there the column is a
+pivot as it stands.  It is built only if a later column subtracts it (see
 :func:`simplicial_homology`).
 
 Constructors cover triangulated spheres, polygons, products (staircase
@@ -22,7 +25,7 @@ expression via :func:`triangulate`.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, groupby
 from operator import itemgetter
@@ -134,21 +137,24 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * len(level) for d, level in enumerate(self._simplices))
 
-    def _boundary_columns(self, i: int,
-                          skip: frozenset[int] = frozenset()) -> Iterator[dict[int, int]]:
-        """The columns of the i-th boundary as {row: sign} dicts, in the
-        bases and with the signs that :meth:`boundary_matrix` documents,
-        leaving out the columns whose positions are in ``skip``.
+    def _boundary_of(self, i: int) -> tuple[Callable[[tuple[int, ...]], int],
+                                            Callable[[tuple[int, ...]], dict[int, int]]]:
+        """The row of each (i-1)-simplex, and the column of each i-simplex as
+        a {row: sign} dict, in the bases and with the signs that
+        :meth:`boundary_matrix` documents.
 
         ``combinations(simplex, i)`` lists the faces in increasing order,
         the first dropping the last vertex, so the signs run from (-1)^i
         down to (-1)^0.
         """
-        face_row = {s: r for r, s in enumerate(self._simplices[i - 1])}.__getitem__
+        level = self._simplices[i - 1]
+        face_row = dict(zip(level, range(len(level)))).__getitem__
         signs = [-1 if j % 2 else 1 for j in range(i, -1, -1)]
-        for c, simplex in enumerate(self._simplices[i]):
-            if c not in skip:
-                yield dict(zip(map(face_row, combinations(simplex, i)), signs))
+        return face_row, lambda s: dict(zip(map(face_row, combinations(s, i)), signs))
+
+    def _boundary_columns(self, i: int) -> Iterator[dict[int, int]]:
+        """The columns of the i-th boundary, in basis order."""
+        return map(self._boundary_of(i)[1], self._simplices[i])
 
     def boundary_matrix(self, i: int) -> IntegerMatrix:
         """Sparse matrix of the i-th boundary operator, 1 <= i <= dim.
@@ -168,18 +174,31 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim={self.dim}, simplex_counts={counts})"
 
 
-def eliminate_unit_pivots(columns: list[dict[int, int]]) -> tuple[dict[int, int], IntegerMatrix]:
-    """Split the +-1 pivots off a sparse integer matrix, in place.
+def eliminate_unit_pivots(lows: Sequence[int | None],
+                          column: Callable[[int], dict[int, int]]
+                          ) -> tuple[dict[int, int], IntegerMatrix]:
+    """Split the +-1 pivots off a sparse integer matrix whose columns are
+    built only when they are read.
 
-    ``columns[c]`` maps row index to a nonzero entry.  The pivots are taken
-    on each column's lowest row (largest index), by a left-to-right column
-    reduction.  In basis order, while a column's lowest row is the pivot row
-    of an earlier column, that pivot column is subtracted from it; when its
-    lowest entry is then +-1, that row becomes its pivot.  A reduced pivot
-    column is zero below its pivot row, so on the pivot rows these columns
-    form a triangular block with +-1 on the diagonal.  The lowest row is read
-    from a lazy max-heap of the column's rows: a row whose entry cancelled is
+    ``column(c)`` builds column c as a dict from row index to a nonzero
+    entry; ``lows[c]`` is the row of its lowest entry (largest index) when
+    that entry is known to be +-1, else None.  The pivots are taken on each
+    column's lowest row by a left-to-right column reduction.  In basis
+    order, while a column's lowest row is the pivot row of an earlier
+    column, that pivot column is subtracted from it; when its lowest entry
+    is then +-1, that row becomes its pivot.  A reduced pivot column is zero
+    below its pivot row, so on the pivot rows these columns form a
+    triangular block with +-1 on the diagonal.  The lowest row is read from
+    a lazy max-heap of the column's rows: a row whose entry cancelled is
     skipped, and a row that fills in is pushed.
+
+    Emergent pairs: a column whose ``lows`` row is not yet a pivot row
+    becomes its pivot at once and is not built, since nothing would be
+    subtracted from it.  It is built the first time a later column
+    subtracts it, as it stands, for it is its own reduced column, and that
+    column is kept.  So each column is built at most once, and only if it
+    is reduced or subtracted; the pivots and residual are those of the
+    same reduction on columns all built up front.
 
     The columns whose lowest entry is not +-1 (few in practice) then have
     their pivot rows cleared, highest row first, which leaves them zero on
@@ -191,13 +210,19 @@ def eliminate_unit_pivots(columns: list[dict[int, int]]) -> tuple[dict[int, int]
 
     Returns the pivots, as a dict from pivot row to its column, and the
     residual: the non-empty columns left, in order, on the rows they touch.
-    The residual may still hold +-1 entries.  Afterwards each pivot column
-    of ``columns`` holds its reduced column and every other column its part
-    of the residual (on the original rows).
+    The residual may still hold +-1 entries.  The dicts that ``column``
+    returns are reduced in place: afterwards each built pivot column holds
+    its reduced column and every other column its part of the residual (on
+    the original rows).
     """
     pivot_of: dict[int, int] = {}  # pivot row -> its column
-    rest: list[int] = []
-    for c, col in enumerate(columns):
+    built = _Built(column)  # pivot column -> its reduced column, once read
+    rest: list[dict[int, int]] = []
+    for c, low in enumerate(lows):
+        if low is not None and low not in pivot_of:
+            pivot_of[low] = c  # emergent pair
+            continue
+        col = column(c)
         heap = [-r for r in col]
         heapify(heap)
         while col:
@@ -205,27 +230,41 @@ def eliminate_unit_pivots(columns: list[dict[int, int]]) -> tuple[dict[int, int]
             if low not in col:
                 heappop(heap)  # cancelled
             elif low in pivot_of:
-                pivot = columns[pivot_of[low]]
+                pivot = built[pivot_of[low]]
                 _subtract(col, pivot, col[low] * pivot[low], heap)
             else:
                 if col[low] == 1 or col[low] == -1:
                     pivot_of[low] = c
+                    built[c] = col
                 else:
-                    rest.append(c)
+                    rest.append(col)
                 break
-    for c in rest:
-        col = columns[c]
+    for col in rest:
         heap = [-r for r in col]
         heapify(heap)
         while heap:
             r = -heappop(heap)
             if r in col and r in pivot_of:
-                pivot = columns[pivot_of[r]]
+                pivot = built[pivot_of[r]]
                 _subtract(col, pivot, col[r] * pivot[r], heap)
-    kept = [columns[c] for c in rest if columns[c]]
+    kept = [col for col in rest if col]
     renumber = {r: k for k, r in enumerate(sorted({r for col in kept for r in col}))}
     residual = ({renumber[r]: x for r, x in col.items()} for col in kept)
     return pivot_of, IntegerMatrix.from_columns(residual, len(renumber))
+
+
+class _Built(dict):
+    """Columns by index, each built by ``column`` the first time it is read."""
+
+    __slots__ = ("column",)
+
+    def __init__(self, column: Callable[[int], dict[int, int]]):
+        super().__init__()
+        self.column = column
+
+    def __missing__(self, c: int) -> dict[int, int]:
+        col = self[c] = self.column(c)
+        return col
 
 
 def _subtract(col: dict[int, int], pivot: dict[int, int], q: int, heap: list[int]) -> None:
@@ -245,16 +284,23 @@ def _subtract(col: dict[int, int], pivot: dict[int, int], q: int, heap: list[int
 def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     """Integer homology of K from the invariant factors of its boundary maps.
 
-    The boundaries are taken top-down, from d_top to d_1.  Each d_i is
-    built as sparse columns and its +-1 pivots are split off
-    (:func:`eliminate_unit_pivots`); only the residual goes to dense Smith
-    normal form.  rank d_i is the number of pivots plus the residual's
-    rank.  rank H_i = (#i-simplices) - rank d_i - rank d_{i+1}, and the
-    torsion of H_i is the set of invariant factors of d_{i+1} exceeding 1,
-    all of which come from the residual.
+    The boundaries are taken top-down, from d_top to d_1.  Each d_i has its
+    +-1 pivots split off (:func:`eliminate_unit_pivots`); only the residual
+    goes to dense Smith normal form.  rank d_i is the number of pivots plus
+    the residual's rank.  rank H_i = (#i-simplices) - rank d_i -
+    rank d_{i+1}, and the torsion of H_i is the set of invariant factors of
+    d_{i+1} exceeding 1, all of which come from the residual.
+
+    Emergent pairs: the lowest row of the column of s = (v0 < ... < vi) is
+    known without building it.  In lexicographically ordered bases the
+    largest face of s is s[1:], since it alone does not start with v0, and
+    its sign is (-1)^0 = +1.  So a column whose lowest row is not yet a
+    pivot row is paired on the spot, with nothing subtracted, and its
+    boundary is built only if a later column subtracts it.  Only the
+    columns that have to be reduced are built when they are reached.
 
     Clearing: the columns of d_i whose i-simplices were pivot rows of
-    d_{i+1} are never built.  Each pivot of d_{i+1} has a reduced column
+    d_{i+1} are left out.  Each pivot of d_{i+1} has a reduced column
     z_k, an integer combination of columns of d_{i+1}, so it lies in
     ker d_i, with +-1 at its pivot row r_k and zero below it.  On the pivot
     rows R the block Z_R of these columns is therefore triangular with +-1
@@ -266,10 +312,12 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     top = K.dim
     rank_d: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
-    cleared: frozenset[int] = frozenset()
+    pivots: dict[int, int] = {}  # of d_{i+1}: its pivot rows are cleared from d_i
     for i in range(top, 0, -1):
-        pivots, residual = eliminate_unit_pivots(list(K._boundary_columns(i, cleared)))
-        cleared = frozenset(pivots)
+        face_row, boundary = K._boundary_of(i)
+        kept = [s for r, s in enumerate(K._simplices[i]) if r not in pivots]
+        lows = list(map(face_row, map(itemgetter(slice(1, None)), kept)))
+        pivots, residual = eliminate_unit_pivots(lows, lambda c: boundary(kept[c]))
         diag = smith_diagonal(residual) if residual.nrows else []
         rank_d[i] = len(pivots) + sum(1 for x in diag if x)
         factors = tuple(x for x in diag if x > 1)
@@ -284,11 +332,14 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
 
 
 def boundary_sphere_complex(k: int) -> SimplicialComplex:
-    """The k-sphere as the boundary of the standard (k+1)-simplex."""
+    """The k-sphere as the boundary of the standard (k+1)-simplex: its faces
+    are the proper subsets of the k + 2 vertices, listed in lexicographic
+    order by ``combinations``."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"sphere dimension must be an integer >= 1, got {k!r}")
     verts = range(k + 2)
-    return SimplicialComplex(verts, combinations(verts, k + 1))
+    levels = [list(combinations(verts, size)) for size in range(1, k + 2)]
+    return SimplicialComplex._from_lattice(tuple(verts), tuple(levels[-1]), levels)
 
 
 def circle_complex(m: int) -> SimplicialComplex:
@@ -404,7 +455,7 @@ def connected_sum_complex(K: SimplicialComplex, L: SimplicialComplex,
 
 
 def _glue(pieces: Sequence[SimplicialComplex]) -> SimplicialComplex:
-    """Connected sum of pure n-complexes, glued in order in one pass.
+    """Connected sum of closed pure n-complexes, glued in order in one pass.
 
     Each step removes the lexicographically first facet of the sum so far
     and the first facet of the next piece, and glues the two by the
@@ -412,19 +463,47 @@ def _glue(pieces: Sequence[SimplicialComplex]) -> SimplicialComplex:
     next fresh integers in its vertex order.  The first piece's vertices
     become 0, 1, ...  The running facets are kept in a heap, so the
     facet each step removes is found without rebuilding the sum.
+
+    The face lattice is the union of the pieces' relabelled lattices: a
+    piece's simplices inside its glued facet are already in the sum (as
+    faces of the facet removed there, which lie in other facets of a closed
+    complex), and every other one has a fresh vertex, so it is new.  The top
+    level is the facets that are left.  The relabelling keeps the order
+    among the glued vertices and among the others, and the glued ones get
+    the smaller labels, so a simplex is relabelled in order once its glued
+    vertices are moved to the front; that order is worked out once per
+    distinct piece, and each copy is relabelled a level at a time.
     """
     first, *rest = pieces
     heap = list(first._facets)  # sorted, so already a heap
+    levels = [list(level) for level in first._simplices[:-1]]
     fresh = len(first._labels)
+    shaped = None
     for piece in rest:
-        relabel = dict(zip(piece._facets[0], heappop(heap)))
+        glued = piece._facets[0]
+        if piece is not shaped:
+            # the vertices of each level's new simplices, glued ones first,
+            # in one flat list per level
+            shaped, inside = piece, set(glued)
+            front = {v: (v not in inside, v) for v in range(len(piece._labels))}.__getitem__
+            *lower, top = [list(chain.from_iterable(sorted(s, key=front) for s in level
+                                                    if not inside.issuperset(s)))
+                           for level in piece._simplices]
+        relabel = dict(zip(glued, heappop(heap)))
         for v in range(len(piece._labels)):
             if v not in relabel:
                 relabel[v] = fresh
                 fresh += 1
-        for f in piece._facets[1:]:
-            heappush(heap, tuple(sorted(relabel[v] for v in f)))
-    return SimplicialComplex(range(fresh), heap)
+        label_of = relabel.__getitem__
+        # zip over size copies of one iterator cuts it into size-tuples
+        for size, (level, flat) in enumerate(zip(levels, lower), 1):
+            level += zip(*[map(label_of, flat)] * size)
+        for facet in zip(*[map(label_of, top)] * len(glued)):
+            heappush(heap, facet)
+    for level in levels:
+        level.sort()
+    facets = sorted(heap)
+    return SimplicialComplex._from_lattice(tuple(range(fresh)), tuple(facets), levels + [facets])
 
 
 def triangulate(expr: ManifoldExpr) -> SimplicialComplex:

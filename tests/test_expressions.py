@@ -151,7 +151,7 @@ class TestConstruction:
     def test_height_is_not_part_of_the_value(self):
         a = Product(S1, S2)
         assert repr(a) == "Product(left=SphereAtom(k=1), right=SphereAtom(k=2))"
-        assert repr(ConnSum((S2, S2))) == "ConnSum(summands=(SphereAtom(k=2), SphereAtom(k=2)))"
+        assert repr(ConnSum((S2, S2))) == "ConnSum(summands=(SphereAtom(k=2),), copies=2)"
         b = Product(S1, S2)
         object.__setattr__(b, "height", 7)
         assert a == b and hash(a) == hash(b)
@@ -192,8 +192,21 @@ class TestParts:
         assert eval(repr(expr)) == expr
 
     def test_round_trip(self):
-        assert render_manifold(s_ng(4, 3)) == "S3 x S1 # S3 x S1 # S3 x S1"
+        assert render_manifold(s_ng(4, 3)) == "Sng(4,3)"
         assert parse_manifold(render_manifold(s_ng(4, 3))) == s_ng(4, 3)
+
+    def test_runs_print_once(self):
+        huge = s_ng(5, 10**9)
+        assert repr(huge) == ("ConnSum(summands=(Product(left=SphereAtom(k=4), "
+                              "right=SphereAtom(k=1)),), copies=1000000000)")
+        assert eval(repr(huge)) == huge
+        assert render_manifold(huge) == "Sng(5,1000000000)"
+        assert parse_manifold(render_manifold(huge)) == huge
+        mixed = parse_manifold("S3 x S1 # S2 x S2 # S2 x S2 # Sng(4,3) # S3 x S1 # S2 x S2")
+        assert render_manifold(mixed) == "S3 x S1 # S2 x S2 # S2 x S2 # Sng(4,4) # S2 x S2"
+        assert parse_manifold(render_manifold(mixed)) == mixed
+        assert eval(repr(mixed)) == mixed
+        assert repr(mixed).count("Product(left=SphereAtom(k=3)") == 2
 
     def test_copies_repeat_each_summand(self):
         a, b = Product(S1, S1), S2

@@ -127,6 +127,11 @@ class TestSphereAndCircle:
         assert (simplicial_homology(circle_complex(3))
                 == simplicial_homology(boundary_sphere_complex(1)))
 
+    def test_closed_form_lattice_matches_the_facet_derived_one(self):
+        for k in range(1, 7):
+            K = boundary_sphere_complex(k)
+            assert_same_complex(K, SimplicialComplex(range(k + 2), combinations(range(k + 2), k + 1)))
+
     def test_polygon_euler_characteristic(self):
         K = circle_complex(3)
         assert K.n_simplices(0) == 3
@@ -257,9 +262,20 @@ class TestTorsion:
         assert group.torsion == {1: (2,)}
 
 
+def unit_lows(columns):
+    """Each column's lowest row where its entry is +-1, else None."""
+    return [max(col) if col and col[max(col)] in (1, -1) else None for col in columns]
+
+
+def eliminate(columns):
+    """eliminate_unit_pivots on columns given up front, with the columns as
+    the builder, so that they are reduced in place."""
+    return eliminate_unit_pivots(unit_lows(columns), columns.__getitem__)
+
+
 def eliminated_factors(columns):
     """Nonzero invariant factors from unit-pivot elimination plus the residual."""
-    pivots, residual = eliminate_unit_pivots(columns)
+    pivots, residual = eliminate(columns)
     diag = smith_diagonal(residual) if residual.nrows else []
     return [1] * len(pivots) + [x for x in diag if x], residual
 
@@ -350,7 +366,7 @@ def homology_without_clearing(K):
     of the residual on every full boundary, in any order."""
     rank_d, torsion = {}, {}
     for i in range(1, K.dim + 1):
-        pivots, residual = eliminate_unit_pivots(full_boundary_columns(K, i))
+        pivots, residual = eliminate(full_boundary_columns(K, i))
         diag = smith_diagonal(residual) if residual.nrows else []
         rank_d[i] = len(pivots) + sum(1 for x in diag if x)
         if any(x > 1 for x in diag):
@@ -358,6 +374,18 @@ def homology_without_clearing(K):
     ranks = {i: K.n_simplices(i) - rank_d.get(i, 0) - rank_d.get(i + 1, 0)
              for i in range(K.dim + 1)}
     return GradedGroup({i: r for i, r in ranks.items() if r}, torsion)
+
+
+def kept_columns(K):
+    """The positions of the columns of each d_i left after clearing, from a
+    reference that builds every column of every boundary up front."""
+    kept, cleared = {}, set()
+    for i in range(K.dim, 0, -1):
+        kept[i] = [c for c in range(K.n_simplices(i)) if c not in cleared]
+        columns = full_boundary_columns(K, i)
+        pivots, _ = eliminate([columns[c] for c in kept[i]])
+        cleared = set(pivots)
+    return kept
 
 
 def rp2_products_and_sums():
@@ -392,26 +420,32 @@ class TestClearing:
         assert with_torsion == 60
 
     @pytest.mark.parametrize("K", rp2_products_and_sums()
-                             + [triangulate(parse_manifold("S2 x S1 x S1"))])
+                             + [triangulate(parse_manifold("S2 x S1 x S1")),
+                                triangulate(parse_manifold("Sng(5,2)"))])
     def test_cleared_columns_are_never_built(self, K, monkeypatch):
-        calls = []
+        built = {i: [] for i in range(1, K.dim + 1)}
+        boundary_of = SimplicialComplex._boundary_of
 
-        def recording(columns):
-            n_columns = len(columns)
-            pivots, residual = eliminate_unit_pivots(columns)
-            calls.append((n_columns, len(pivots)))
-            return pivots, residual
+        def counting(self, i):
+            face_row, column = boundary_of(self, i)
 
-        monkeypatch.setattr(simplicial, "eliminate_unit_pivots", recording)
-        simplicial_homology(K)
-        # one call per boundary, top-down: d_top, ..., d_1
-        assert len(calls) == K.dim
-        # d_i gets the i-simplices that were not pivot rows of d_{i+1}
-        pivots_above = 0
-        for (n_columns, pivots), i in zip(calls, range(K.dim, 0, -1)):
-            assert n_columns == K.n_simplices(i) - pivots_above
-            pivots_above = pivots
-        assert calls[0][1] > 0
+            def build(simplex):
+                built[i].append(simplex)
+                return column(simplex)
+
+            return face_row, build
+
+        monkeypatch.setattr(SimplicialComplex, "_boundary_of", counting)
+        assert simplicial_homology(K) == homology_without_clearing(K)
+        kept = kept_columns(K)
+        # d_i builds only columns of i-simplices that were not pivot rows of
+        # d_{i+1}, each at most once
+        for i in range(1, K.dim + 1):
+            rows = [K._simplices[i].index(s) for s in built[i]]
+            assert len(set(rows)) == len(rows), i
+            assert set(rows) <= set(kept[i]), i
+        # emergent pairs: many kept columns are never built
+        assert sum(map(len, built.values())) < sum(map(len, kept.values()))
 
     def test_pivot_columns_end_in_units_on_distinct_rows(self):
         matrices = [full_boundary_columns(K, i)
@@ -421,7 +455,7 @@ class TestClearing:
             nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
             matrices.append(random_sparse_columns(rng, nrows, ncols))
         for columns in matrices:
-            pivots, residual = eliminate_unit_pivots(columns)
+            pivots, residual = eliminate(columns)
             assert_elimination_contract(columns, pivots, residual)
 
 
@@ -461,7 +495,7 @@ def checked_factors(columns):
     """Nonzero invariant factors from elimination of a copy of columns,
     with the elimination contract asserted, and the residual."""
     work = [dict(c) for c in columns]
-    pivots, residual = eliminate_unit_pivots(work)
+    pivots, residual = eliminate(work)
     assert_elimination_contract(work, pivots, residual)
     diag = smith_diagonal(residual) if residual.nrows else []
     return [1] * len(pivots) + [x for x in diag if x], residual
@@ -473,7 +507,7 @@ class TestLowPivotReduction:
         # pivot; clearing pivot row 2 from it leaves it on rows 0, 1 and 3.
         columns = [{1: 1, 2: 1}, {0: 1, 2: 1, 3: 2}, {0: 2, 3: 4}]
         assert dense_factors(columns, 4) == [1, 1, 2]
-        pivots, residual = eliminate_unit_pivots(columns)
+        pivots, residual = eliminate(columns)
         assert pivots == {2: 0}
         assert columns[1] == {0: 1, 1: -1, 3: 2}
         assert_elimination_contract(columns, pivots, residual)
@@ -504,7 +538,7 @@ class TestLowPivotReduction:
     def test_top_boundary_of_a_closed_orientable_manifold(self):
         K = triangulate(parse_manifold("S1 x S1 x S1 x S1"))
         columns = list(K._boundary_columns(4))
-        pivots, residual = eliminate_unit_pivots(columns)
+        pivots, residual = eliminate(columns)
         assert len(pivots) == K.n_simplices(4) - 1
         assert residual.shape == (0, 0)
         assert_elimination_contract(columns, pivots, residual)
@@ -518,6 +552,73 @@ class TestLowPivotReduction:
         K = make()
         for i in range(1, K.dim + 1):
             assert list(K._boundary_columns(i)) == full_boundary_columns(K, i), i
+
+
+def lowest_entry_cases(rng):
+    """Spheres, products, sums and RP2, each also with its vertex, facet and
+    in-facet orders shuffled, and through a JSON round trip."""
+    rp2 = projective_plane_complex()
+    complexes = [boundary_sphere_complex(3), circle_complex(5), rp2,
+                 product_complex(circle_complex(4), boundary_sphere_complex(2)),
+                 product_complex(rp2, circle_complex(3)),
+                 connected_sum_complex(rp2, rp2, 2),
+                 triangulate(parse_manifold("Sng(4,3)")),
+                 triangulate(parse_manifold("S3 x S1 # S2 x S2"))]
+    shuffled = [permuted(K, rng) for K in complexes]
+    return complexes + shuffled + [complex_from_json(complex_to_json(K)) for K in shuffled]
+
+
+def counted(columns):
+    """The columns as a builder that records each column it builds."""
+    built = []
+
+    def column(c):
+        built.append(c)
+        return columns[c]
+
+    return column, built
+
+
+class TestEmergentPairs:
+    @pytest.mark.parametrize("seed", [2, 13])
+    def test_lowest_entry_is_the_face_without_the_first_vertex(self, seed):
+        for K in lowest_entry_cases(random.Random(seed)):
+            for i in range(1, K.dim + 1):
+                row_of = {face: r for r, face in enumerate(K.simplices(i - 1))}
+                for s, col in zip(K.simplices(i), K._boundary_columns(i)):
+                    low = max(col)
+                    assert low == row_of[s[1:]] and col[low] == 1, (K, i, s)
+
+    def test_built_on_demand_matches_built_up_front(self):
+        matrices = [full_boundary_columns(K, i)
+                    for K in rp2_products_and_sums() for i in range(1, K.dim + 1)]
+        for seed in range(200):
+            rng = random.Random(seed)
+            nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+            matrices.append(random_sparse_columns(rng, nrows, ncols))
+            matrices.append(low_heavy_columns(rng, nrows, ncols))
+        skipped = 0
+        for columns in matrices:
+            eager, built_eagerly = counted([dict(c) for c in columns])
+            lazy, built_lazily = counted([dict(c) for c in columns])
+            want = eliminate_unit_pivots([None] * len(columns), eager)
+            got = eliminate_unit_pivots(unit_lows(columns), lazy)
+            assert got == want, columns
+            assert built_eagerly == list(range(len(columns)))
+            assert len(set(built_lazily)) == len(built_lazily)
+            skipped += len(columns) - len(built_lazily)
+        assert skipped > 0
+
+    def test_a_column_never_subtracted_is_never_built(self):
+        # columns 0 and 1 pair with rows 3 and 2 on the spot; column 2 is
+        # reduced by column 0, which is built then, and column 1 never is
+        columns = [{0: 1, 3: 1}, {1: -1, 2: 1}, {0: 3, 3: 1}]
+        assert dense_factors(columns, 4) == [1, 1, 2]
+        column, built = counted(columns)
+        pivots, residual = eliminate_unit_pivots([3, 2, 3], column)
+        assert pivots == {3: 0, 2: 1}
+        assert built == [2, 0]
+        assert residual.shape == (1, 1) and residual[0, 0] == 2
 
 
 class TestTriangulate:
@@ -566,18 +667,41 @@ class TestGluing:
     def test_complexes_built_do_not_grow_with_the_genus(self, monkeypatch):
         built = []
         init = SimplicialComplex.__init__
+        from_lattice = SimplicialComplex._from_lattice.__func__
 
         def counting(self, vertices, facets):
             built.append(1)
             init(self, vertices, facets)
 
+        def counting_lattice(cls, labels, facets, levels):
+            built.append(1)
+            return from_lattice(cls, labels, facets, levels)
+
         monkeypatch.setattr(SimplicialComplex, "__init__", counting)
+        monkeypatch.setattr(SimplicialComplex, "_from_lattice", classmethod(counting_lattice))
         counts = []
         for g in (5, 50):
             built.clear()
             triangulate(s_ng(4, g))
             counts.append(len(built))
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: triangulate(s_ng(4, 2)),
+        lambda: triangulate(s_ng(3, 6)),
+        lambda: triangulate(s_ng(5, 2)),
+        lambda: triangulate(s_ng(6, 8)),
+        lambda: triangulate(s_ng(7, 3)),
+        lambda: triangulate(parse_manifold("S3 x S1 # S2 x S2 # S3 x S1")),
+        lambda: triangulate(parse_manifold("S2 # S1 x S1 # S2 # S2")),
+        lambda: connected_sum_complex(projective_plane_complex(), torus_complex(), 2),
+        lambda: simplicial._glue([triangulate(s_ng(6, 1))]),
+        lambda: simplicial._glue([permuted(triangulate(s_ng(3, 1)), random.Random(7))] * 3),
+    ])
+    def test_lattice_matches_the_facet_derived_complex(self, make):
+        K = make()
+        assert K.vertices == tuple(range(len(K.vertices)))
+        assert_same_complex(K, SimplicialComplex(K.vertices, K.facets))
 
 
 def staircase_reference(K, L):
