@@ -9,13 +9,14 @@ and JSON when redirected; override with --format.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
 from typing import Any
 
-from .expressions import dimension, parse_manifold
+from .expressions import parse_manifold
 from .flows import (
     enumerate_flows,
     flow_spec_from_json,
@@ -37,12 +38,12 @@ def _resolved_format(args) -> str:
     return "human" if sys.stdout.isatty() else "json"
 
 
-def _emit(args, payload: dict, human_lines: Iterable[str]) -> None:
-    if _resolved_format(args) == "json":
-        print(json.dumps(payload))
-    else:
-        for line in human_lines:
-            print(line)
+def _emit(args, payloads: Iterable[dict], human_lines: Iterable[str]) -> None:
+    """Print one JSON line per payload or the human lines, consuming only the
+    iterable that the format selects."""
+    lines = map(json.dumps, payloads) if _resolved_format(args) == "json" else human_lines
+    for line in lines:
+        print(line)
 
 
 def _graded_json(group: GradedGroup) -> dict:
@@ -79,14 +80,14 @@ def _load_json_file(path: str) -> Any:
 def _cmd_homology(args) -> int:
     expr = parse_manifold(args.expr)
     group = homology(expr)
-    _emit(args, _graded_json(group), _graded_lines(group, dimension(expr)))
+    _emit(args, [_graded_json(group)], _graded_lines(group, expr.dim))
     return 0
 
 
 def _cmd_poincare(args) -> int:
     poly = poincare_polynomial(parse_manifold(args.expr))
     payload = {"coefficients": list(poly.coefficients), "pretty": str(poly)}
-    _emit(args, payload, [f"p(t) = {poly}"])
+    _emit(args, [payload], [f"p(t) = {poly}"])
     return 0
 
 
@@ -103,19 +104,16 @@ def _cmd_check_flow(args) -> int:
     for check in report.checks:
         mark = "PASS" if check.passed else "FAIL"
         human.append(f"  [{mark}] {check.name}: {check.detail}")
-    _emit(args, report_to_json(report), human)
+    _emit(args, [report_to_json(report)], human)
     return 0 if report.admissible else 1
 
 
 def _cmd_enumerate(args) -> int:
     vectors = enumerate_flows(args.n, args.g, args.k_max)
-    human_mode = _resolved_format(args) == "human"
-    for counts in vectors:
-        k = counts[0] + counts[args.n] - 2
-        if human_mode:
-            print(f"c = {list(counts)}  k = {k}")
-        else:
-            print(json.dumps({"c": list(counts), "k": k}))
+    rows = ((list(c), c[0] + c[args.n] - 2) for c in vectors)
+    # two views of one generator: _emit consumes only one of them
+    _emit(args, ({"c": c, "k": k} for c, k in rows),
+          (f"c = {c}  k = {k}" for c, k in rows))
     return 0
 
 
@@ -124,30 +122,31 @@ def _cmd_obstruction(args) -> int:
     status = "Admissible" if result.admissible else "Forbidden"
     payload = {"n": args.n, "index": args.index, "g": args.g,
                "status": status, "reason": result.reason}
-    _emit(args, payload, [f"{status}: {result.reason}"])
+    _emit(args, [payload], [f"{status}: {result.reason}"])
     return 0
 
 
-def _check_oracle_dim(expr, max_dim: int) -> None:
-    n = dimension(expr)
-    if n > max_dim:
+def _oracle(args):
+    """Parse ``args.expr``, refuse it above ``--max-dim``, triangulate it and
+    run the simplicial oracle; returns the expression and its homology."""
+    expr = parse_manifold(args.expr)
+    if expr.dim > args.max_dim:
         raise ValueError(
-            f"expression has dimension {n}, outside the constructible family "
-            f"(limit {max_dim}); raise it with --max-dim if you really want this")
+            f"expression has dimension {expr.dim}, outside the constructible family "
+            f"(limit {args.max_dim}); raise it with --max-dim if you really want this")
+    return expr, simplicial_homology(triangulate(expr))
 
 
 def _cmd_oracle(args) -> int:
-    expr = parse_manifold(args.expr)
-    _check_oracle_dim(expr, args.max_dim)
-    group = simplicial_homology(triangulate(expr))
-    _emit(args, _graded_json(group), _graded_lines(group, dimension(expr)))
+    expr, group = _oracle(args)
+    _emit(args, [_graded_json(group)], _graded_lines(group, expr.dim))
     return 0
 
 
 def _cmd_oracle_complex(args) -> int:
     complex_ = complex_from_json(_load_json_file(args.complex))
     group = simplicial_homology(complex_)
-    _emit(args, _graded_json(group), _graded_lines(group, complex_.dim))
+    _emit(args, [_graded_json(group)], _graded_lines(group, complex_.dim))
     return 0
 
 
@@ -171,11 +170,8 @@ def crosscheck_rows(engine: GradedGroup, oracle: GradedGroup, top: int) -> list[
 
 
 def _cmd_crosscheck(args) -> int:
-    expr = parse_manifold(args.expr)
-    _check_oracle_dim(expr, args.max_dim)
-    engine = homology(expr)
-    oracle = simplicial_homology(triangulate(expr))
-    rows = crosscheck_rows(engine, oracle, dimension(expr))
+    expr, oracle = _oracle(args)
+    rows = crosscheck_rows(homology(expr), oracle, expr.dim)
     all_match = all(row["match"] for row in rows)
     human = []
     for row in rows:
@@ -186,11 +182,17 @@ def _cmd_crosscheck(args) -> int:
             line += f" torsion={row['oracle_torsion']}"
         human.append(line)
     human.append(f"overall: {'MATCH' if all_match else 'MISMATCH'}")
-    _emit(args, {"expression": args.expr, "match": all_match, "degrees": rows}, human)
+    _emit(args, [{"expression": args.expr, "match": all_match, "degrees": rows}], human)
     return 0 if all_match else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built on the first call and reused by every later one.
+
+    Its handlers look up the library functions as module globals when they
+    run, so a name patched after the parser exists still takes effect.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("human", "json"), default=None,
@@ -202,67 +204,57 @@ def _build_parser() -> argparse.ArgumentParser:
                     "gradient-like flows without heteroclinic intersections.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("homology", parents=[common],
-                       help="graded integer homology of an expression")
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("homology", _cmd_homology, "graded integer homology of an expression")
     p.add_argument("expr", help="expression, e.g. 'S3 x S1 # S3 x S1' or 'Sng(4,2)'")
-    p.set_defaults(handler=_cmd_homology)
 
-    p = sub.add_parser("poincare", parents=[common],
-                       help="Poincare polynomial of an expression")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_poincare)
+    command("poincare", _cmd_poincare, "Poincare polynomial of an expression").add_argument("expr")
 
-    p = sub.add_parser("betti", parents=[common],
-                       help="single Betti number of an expression")
+    p = command("betti", _cmd_betti, "single Betti number of an expression")
     p.add_argument("expr")
     p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(handler=_cmd_betti)
 
-    p = sub.add_parser("check-flow", parents=[common],
-                       help="validate a flow spec JSON file (exit 1 if inadmissible)")
+    p = command("check-flow", _cmd_check_flow,
+                "validate a flow spec JSON file (exit 1 if inadmissible)")
     p.add_argument("spec", help="path to the flow spec JSON document")
-    p.set_defaults(handler=_cmd_check_flow)
 
-    p = sub.add_parser("enumerate", parents=[common],
-                       help="admissible count vectors, one JSON object per line")
+    p = command("enumerate", _cmd_enumerate,
+                "admissible count vectors, one JSON object per line")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
-    p.set_defaults(handler=_cmd_enumerate)
 
-    p = sub.add_parser("obstruction", parents=[common],
-                       help="whether a saddle of the given Morse index can occur")
+    p = command("obstruction", _cmd_obstruction,
+                "whether a saddle of the given Morse index can occur")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--g", type=int, default=0)
-    p.set_defaults(handler=_cmd_obstruction)
 
-    p = sub.add_parser("oracle", parents=[common],
-                       help="triangulate an expression and compute homology by "
-                            "unit-pivot elimination and Smith normal form")
-    p.add_argument("expr")
-    p.add_argument("--max-dim", dest="max_dim", type=int, default=DEFAULT_MAX_ORACLE_DIM)
-    p.set_defaults(handler=_cmd_oracle)
+    oracle = command("oracle", _cmd_oracle,
+                     "triangulate an expression and compute homology by "
+                     "unit-pivot elimination and Smith normal form")
 
-    p = sub.add_parser("oracle-complex", parents=[common],
-                       help="simplicial homology of an explicit complex JSON file")
+    p = command("oracle-complex", _cmd_oracle_complex,
+                "simplicial homology of an explicit complex JSON file")
     p.add_argument("complex", help="path to the complex JSON document")
-    p.set_defaults(handler=_cmd_oracle_complex)
 
-    p = sub.add_parser("crosscheck", parents=[common],
-                       help="compare the closed-form engine with the simplicial "
-                            "oracle (exit 1 on mismatch)")
-    p.add_argument("expr")
-    p.add_argument("--max-dim", dest="max_dim", type=int, default=DEFAULT_MAX_ORACLE_DIM)
-    p.set_defaults(handler=_cmd_crosscheck)
+    crosscheck = command("crosscheck", _cmd_crosscheck,
+                         "compare the closed-form engine with the simplicial "
+                         "oracle (exit 1 on mismatch)")
+    for p in (oracle, crosscheck):
+        p.add_argument("expr")
+        p.add_argument("--max-dim", dest="max_dim", type=int, default=DEFAULT_MAX_ORACLE_DIM)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has already written its message (exit 2 on bad usage)
         return int(exc.code or 0)

@@ -55,7 +55,11 @@ class SphereAtom:
     """The k-sphere, k >= 1."""
 
     k: int
-    height = 0  # a leaf; Product and ConnSum store their height as a field
+    height = 0  # a leaf; Product and ConnSum store height and dim as fields
+
+    @property
+    def dim(self) -> int:
+        return self.k
 
     def __post_init__(self):
         if not isinstance(self.k, int) or isinstance(self.k, bool):
@@ -71,11 +75,13 @@ class Product:
     left: "ManifoldExpr"
     right: "ManifoldExpr"
     height: int = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_expr(self.left)
         _check_expr(self.right)
-        _set_height(self, max(self.left.height, self.right.height))
+        _set_shape(self, max(self.left.height, self.right.height),
+                   self.left.dim + self.right.dim)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -90,6 +96,7 @@ class ConnSum:
 
     parts: tuple[tuple["ManifoldExpr", int], ...]
     height: int = field(init=False, compare=False)
+    dim: int = field(init=False, compare=False)
 
     def __init__(self, summands: tuple["ManifoldExpr", ...], copies: int = 1):
         if not isinstance(copies, int) or isinstance(copies, bool):
@@ -107,13 +114,13 @@ class ConnSum:
                 if parts and parts[-1][0] == part:
                     k += parts.pop()[1]
                 parts.append((part, k))
-        dims = sorted({dimension(s) for s, _ in parts})
+        dims = sorted({s.dim for s, _ in parts})
         if len(dims) != 1:
             raise DimensionMismatchError(
                 f"connected-sum summands must have equal dimensions, got {dims}")
         if dims[0] < 2:
             raise ValueError("connected sums are defined in dimension >= 2")
-        _set_height(self, max(s.height for s, _ in parts))
+        _set_shape(self, max(s.height for s, _ in parts), dims[0])
         object.__setattr__(self, "parts", tuple(parts))
 
     @property
@@ -138,22 +145,19 @@ def _check_expr(x) -> None:
         raise TypeError(f"not a manifold expression: {x!r}")
 
 
-def _set_height(node, below: int) -> None:
-    """Record a node one level above its tallest child, within the cap."""
+def _set_shape(node, below: int, dim: int) -> None:
+    """Record a node's dimension and its height, one level above its tallest
+    child, within the cap."""
     if below >= MAX_BRACKET_DEPTH:
         raise ValueError(f"expression tree deeper than {MAX_BRACKET_DEPTH} levels")
     object.__setattr__(node, "height", below + 1)
+    object.__setattr__(node, "dim", dim)
 
 
 def dimension(expr: ManifoldExpr) -> int:
-    """Dimension of the underlying manifold."""
-    if isinstance(expr, SphereAtom):
-        return expr.k
-    if isinstance(expr, Product):
-        return dimension(expr.left) + dimension(expr.right)
-    if isinstance(expr, ConnSum):
-        return dimension(expr.parts[0][0])
-    raise TypeError(f"not a manifold expression: {expr!r}")
+    """Dimension of the underlying manifold, stored in each node when built."""
+    _check_expr(expr)
+    return expr.dim
 
 
 def s_ng(n: int, g: int) -> ManifoldExpr:
@@ -331,7 +335,7 @@ def render_manifold(expr: ManifoldExpr) -> str:
 
 def _render_run(summand: ManifoldExpr, copies: int) -> str:
     """``copies`` equal summands of a connected sum, '#'-joined."""
-    n = dimension(summand)
+    n = summand.dim
     if copies > 1 and summand == s_ng(n, 1):
         return f"Sng({n},{copies})"
     return " # ".join([render_manifold(summand)] * copies)

@@ -23,9 +23,10 @@ from functools import lru_cache
 from typing import Any, Mapping
 
 from .expressions import s_ng
+from .homology import PoincarePolynomial, poincare_polynomial
 # flows no longer calls euler_characteristic, but perfbench/spans.py wraps it
 # here as an import site, so the name stays importable from this module.
-from .homology import euler_characteristic, poincare_polynomial  # noqa: F401
+from .homology import euler_characteristic  # noqa: F401
 
 __all__ = [
     "CheckResult",
@@ -192,14 +193,15 @@ def genus_of_counts(nu: int, mu: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _betti_row(n: int, g: int) -> tuple[int, ...]:
-    return poincare_polynomial(s_ng(n, g)).coefficients
+def _poincare(n: int, g: int) -> PoincarePolynomial:
+    """Betti numbers of the genus-g manifold, read sparsely: O(1) in n."""
+    return poincare_polynomial(s_ng(n, g))
 
 
 def check_morse_inequalities(spec: FlowSpec, g: int) -> list[tuple[int, int, int]]:
     """Violations of c_i >= beta_i on the genus-g manifold, as (i, c_i, beta_i)."""
-    row = _betti_row(spec.n, g)
-    return [(i, c, b) for i, (c, b) in enumerate(zip(spec.counts, row)) if c < b]
+    beta = _poincare(spec.n, g).coefficient
+    return [(i, c, beta(i)) for i, c in enumerate(spec.counts) if c < beta(i)]
 
 
 def obstruction_check(n: int, i: int, g: int) -> ObstructionResult:
@@ -217,8 +219,8 @@ def obstruction_check(n: int, i: int, g: int) -> ObstructionResult:
         raise ValueError(f"genus must be a non-negative integer, got {g!r}")
     if not _is_int(i) or not 1 <= i <= n - 1:
         raise ValueError(f"Morse index must lie in 1..{n - 1}, got {i!r}")
-    row = _betti_row(n, g)
-    if 2 <= i <= n - 2 and row[i] == 0 and row[n - i] == 0:
+    beta = _poincare(n, g).coefficient
+    if 2 <= i <= n - 2 and beta(i) == 0 and beta(n - i) == 0:
         return ObstructionResult(
             admissible=False,
             reason=(
@@ -231,7 +233,7 @@ def obstruction_check(n: int, i: int, g: int) -> ObstructionResult:
     if i in (1, n - 1):
         reason = f"Morse index {i} lies outside the excluded middle range 2..{n - 2}"
     else:
-        reason = f"middle homology does not vanish (beta_{i} = {row[i]}, beta_{n - i} = {row[n - i]})"
+        reason = f"middle homology does not vanish (beta_{i} = {beta(i)}, beta_{n - i} = {beta(n - i)})"
     if n == 3:
         reason = "the middle index range 2..n-2 is empty in dimension 3"
     return ObstructionResult(admissible=True, reason=reason)
@@ -325,14 +327,10 @@ def _morse_detail(violations: list[tuple[int, int, int]]) -> str:
     return "; ".join(f"c_{i} = {c} < beta_{i} = {b}" for i, c, b in violations)
 
 
-def _alternating_sum(values: tuple[int, ...]) -> int:
-    return sum(v if i % 2 == 0 else -v for i, v in enumerate(values))
-
-
 def _check_euler(n: int, c: tuple[int, ...], g: int | None) -> CheckResult:
-    alternating = _alternating_sum(c)
+    alternating = sum(c[0::2]) - sum(c[1::2])
     if g is not None:
-        expected = _alternating_sum(_betti_row(n, g))
+        expected = _poincare(n, g)(-1)
         ok = alternating == expected
         return CheckResult(
             "euler_characteristic", ok,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from .expressions import ConnSum, ManifoldExpr, Product, SphereAtom, dimension
+from .expressions import ConnSum, ManifoldExpr, Product, SphereAtom
 
 __all__ = [
     "GradedGroup",
@@ -202,7 +202,7 @@ def homology(expr: ManifoldExpr) -> GradedGroup:
         return GradedGroup(_convolve(left._ranks, right._ranks))
     if isinstance(expr, ConnSum):
         parts = ((homology(s)._ranks, k) for s, k in expr.parts)
-        return GradedGroup(_connected_sum(parts, dimension(expr)))
+        return GradedGroup(_connected_sum(parts, expr.dim))
     raise TypeError(f"not a manifold expression: {expr!r}")
 
 

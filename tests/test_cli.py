@@ -223,6 +223,13 @@ class TestObstructionCommand:
         code, _, _ = run(capsys, "obstruction", "--n", "4", "--index", "4")
         assert code == 2
 
+    def test_huge_dimension_in_closed_form(self, capsys):
+        with address_space_cap():
+            code, out, err = run(capsys, "obstruction", "--n", "1000000000",
+                                 "--index", "5", "--g", "1", "--format", "human")
+        assert (code, err) == (0, "")
+        assert out.startswith("Forbidden: ")
+
 
 class TestOracleCommand:
     def test_sphere(self, capsys):
@@ -310,6 +317,54 @@ class TestCrosscheckCommand:
         rows = crosscheck_rows(engine, oracle, 2)
         assert rows[1]["match"] is False
         assert rows[1]["oracle_torsion"] == [2]
+
+
+class TestCachedParser:
+    def test_no_option_carries_over(self, capsys):
+        assert run(capsys, "obstruction", "--n", "x", "--index", "1")[0] == 2
+        code, out, _ = run(capsys, "crosscheck", "S7", "--max-dim", "7")
+        assert code == 0 and json.loads(out)["match"]
+        code, _, err = run(capsys, "crosscheck", "S7")
+        assert code == 2 and "dimension 7" in err and "limit 6" in err
+        for fmt in ("human", "json") * 2:
+            code, out, _ = run(capsys, "obstruction", "--n", "6", "--index", "3",
+                               "--g", "2", "--format", fmt)
+            assert code == 0
+            assert out.startswith("Forbidden: ") == (fmt == "human")
+            # neither --format nor --g leaks into a call that omits them
+            code, out, _ = run(capsys, "obstruction", "--n", "6", "--index", "3")
+            assert code == 0 and json.loads(out)["g"] == 0
+
+    def test_patched_oracle_runs(self, capsys, monkeypatch):
+        assert run(capsys, "crosscheck", "S2")[0] == 0
+        calls = []
+
+        def torus_oracle(complex_):
+            calls.append(complex_)
+            return GradedGroup({0: 1, 1: 2, 2: 1})
+
+        monkeypatch.setattr(flowtop.cli, "simplicial_homology", torus_oracle)
+        code, out, _ = run(capsys, "crosscheck", "S2", "--format", "json")
+        assert code == 1 and not json.loads(out)["match"]
+        code, out, _ = run(capsys, "oracle", "S2", "--format", "json")
+        assert code == 0 and json.loads(out)["ranks"] == {"0": 1, "1": 2, "2": 1}
+        assert len(calls) == 2
+
+    def test_built_once_per_process(self, capsys):
+        build = flowtop.cli._build_parser
+        build.cache_clear()
+        for argv in (["--help"], ["homology", "S2"], ["oracle", "S1"], ["bogus"]):
+            run(capsys, *argv)
+        assert build.cache_info().misses == 1
+        assert build() is build()
+
+    def test_import_builds_no_parser(self):
+        code = ("import flowtop.cli as cli; "
+                "print(cli._build_parser.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(flowtop.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.stdout.strip() == "0", proc.stderr
 
 
 class TestArgumentErrors:

@@ -245,6 +245,48 @@ class TestDimension:
                 assert dimension(s_ng(n, g)) == n
 
 
+def reference_dim(expr):
+    """Dimension by walking the tree, independent of the stored field."""
+    if isinstance(expr, SphereAtom):
+        return expr.k
+    if isinstance(expr, Product):
+        return reference_dim(expr.left) + reference_dim(expr.right)
+    dims = {reference_dim(s) for s, _ in expr.parts}
+    assert len(dims) == 1
+    return dims.pop()
+
+
+class TestStoredDimension:
+    def test_random_trees(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            expr = random_expr(rng)
+            assert expr.dim == dimension(expr) == reference_dim(expr)
+
+    def test_tallest_product_chain(self):
+        chain = functools.reduce(Product, [S1] * (MAX_BRACKET_DEPTH + 1))
+        assert chain.height == MAX_BRACKET_DEPTH
+        assert chain.dim == dimension(chain) == reference_dim(chain) == MAX_BRACKET_DEPTH + 1
+
+    def test_huge_genus(self):
+        expr = s_ng(5, 10**9)
+        assert expr.dim == dimension(expr) == reference_dim(expr) == 5
+
+    def test_dim_is_not_part_of_the_value(self):
+        for build, text in [
+                (lambda: Product(S1, S2), "Product(left=SphereAtom(k=1), right=SphereAtom(k=2))"),
+                (lambda: ConnSum((S2, S2)), "ConnSum(summands=(SphereAtom(k=2),), copies=2)")]:
+            a, b = build(), build()
+            object.__setattr__(b, "dim", 7)
+            assert a == b and hash(a) == hash(b)
+            assert repr(a) == repr(b) == text
+
+    def test_dim_is_read_only(self):
+        for expr in (S2, Product(S1, S2), ConnSum((S2, S2))):
+            with pytest.raises(AttributeError):
+                expr.dim = 9
+
+
 class TestSng:
     def test_zero_genus_is_sphere(self):
         assert s_ng(4, 0) == SphereAtom(4)

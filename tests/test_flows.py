@@ -18,6 +18,8 @@ from flowtop.flows import (
     validate_flow,
 )
 
+from helpers import address_space_cap
+
 
 class TestGenusOfCounts:
     @pytest.mark.parametrize("nu,mu,expected", [
@@ -105,6 +107,21 @@ class TestObstructionCheck:
         for args in ((4, True, 0), (4, 1, True), (True, 1, 0)):
             with pytest.raises(ValueError):
                 obstruction_check(*args)
+
+    def test_huge_dimension_in_closed_form(self):
+        # A dense row of n + 1 Betti numbers would be gigabytes.  The
+        # MemoryError is not left to the traceback, whose repr of the
+        # polynomial would densify it again outside the cap.
+        with address_space_cap():
+            try:
+                forbidden = obstruction_check(10**9, 5, 1)
+                admissible = obstruction_check(10**9, 1, 1)
+            except MemoryError:
+                forbidden = admissible = None
+        assert forbidden is not None, "obstruction_check built a dense Betti row"
+        assert forbidden.forbidden
+        assert "beta_5 = beta_999999995 = 0" in forbidden.reason
+        assert admissible.admissible
 
 
 CHECK_ORDER = ["genus", "index_restriction", "morse_inequalities",
