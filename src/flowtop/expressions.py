@@ -215,15 +215,15 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
             i += 3
         elif c == "S":
             j = i + 1
-            while j < end and text[j].isdigit():
+            while j < end and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise ParseError("expected digits after 'S'", i)
             tokens.append(("sphere", int(text[i + 1:j]), i))
             i = j
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i
-            while j < end and text[j].isdigit():
+            while j < end and text[j].isdecimal():
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j

@@ -5,19 +5,18 @@ finitely many degrees, so three closed-form rules suffice:
 
 * sphere S^k: rank 1 in degrees 0 and k;
 * product X x Y: degree-wise convolution of the factor ranks (the Kunneth
-  rule in its torsion-free form, which is valid precisely because factors
-  are always torsion-free here, and asserted before convolving);
+  rule without its torsion terms, as a rank map carries no torsion);
 * connected sum of dimension n: rank 1 in degrees 0 and n, summand ranks
   added in degrees 1 through n-1.
 
-Each rule is written once, over sparse degree -> rank maps.
+Each rule is written once, over sparse degree -> rank maps; ``_ranks`` folds
+them over the tree on plain dicts, so each public call validates one result.
 PoincarePolynomial is the rank view of a torsion-free GradedGroup; only its
 dense ``coefficients`` tuple costs memory proportional to the dimension.
 
 GradedGroup also carries invariant-factor torsion even though this module
 never produces any: the simplicial verifier reuses the type and must be
-able to report torsion, e.g. for non-orientable complexes in its own test
-cases.
+able to report torsion, e.g. for non-orientable complexes.
 """
 
 from __future__ import annotations
@@ -161,7 +160,7 @@ class PoincarePolynomial:
         return hash(tuple(self._ranks.items()))
 
     def __repr__(self) -> str:
-        return f"PoincarePolynomial({list(self.coefficients)!r})"
+        return f"PoincarePolynomial._of({self._ranks!r})"
 
     def __str__(self) -> str:
         terms = []
@@ -190,25 +189,25 @@ def _connected_sum(parts: Iterable[tuple[Mapping[int, int], int]], n: int) -> di
     return ranks
 
 
+def _ranks(expr: ManifoldExpr) -> dict[int, int]:
+    """The three rules folded over an expression tree, one frame per level."""
+    if isinstance(expr, SphereAtom):
+        return {0: 1, expr.k: 1}
+    if isinstance(expr, Product):
+        return _convolve(_ranks(expr.left), _ranks(expr.right))
+    if isinstance(expr, ConnSum):
+        return _connected_sum(((_ranks(s), k) for s, k in expr.parts), expr.dim)
+    raise TypeError(f"not a manifold expression: {expr!r}")
+
+
 def homology(expr: ManifoldExpr) -> GradedGroup:
     """Graded integer homology of an expression (always torsion-free)."""
-    if isinstance(expr, SphereAtom):
-        return GradedGroup({0: 1, expr.k: 1})
-    if isinstance(expr, Product):
-        left = homology(expr.left)
-        right = homology(expr.right)
-        if not (left.is_torsion_free and right.is_torsion_free):
-            raise ValueError("rank convolution requires torsion-free factors")
-        return GradedGroup(_convolve(left._ranks, right._ranks))
-    if isinstance(expr, ConnSum):
-        parts = ((homology(s)._ranks, k) for s, k in expr.parts)
-        return GradedGroup(_connected_sum(parts, expr.dim))
-    raise TypeError(f"not a manifold expression: {expr!r}")
+    return GradedGroup(_ranks(expr))
 
 
 def poincare_polynomial(expr: ManifoldExpr) -> PoincarePolynomial:
     """Sum of betti(expr, i) * t^i over degrees 0..dimension(expr)."""
-    return PoincarePolynomial._of(homology(expr)._ranks)
+    return PoincarePolynomial._of(_ranks(expr))
 
 
 def poly_product(p: PoincarePolynomial, q: PoincarePolynomial) -> PoincarePolynomial:

@@ -57,8 +57,9 @@ class TestHomologyCommand:
         assert code == 0
         assert json.loads(out)["ranks"] == {"0": 1, "999999999": 1}
 
-    def test_grammar_error_exits_2(self, capsys):
-        code, _, err = run(capsys, "homology", "S2 #")
+    @pytest.mark.parametrize("text", ["S2 #", "S\u00b2"])  # superscript two
+    def test_grammar_error_exits_2(self, capsys, text):
+        code, _, err = run(capsys, "homology", text)
         assert code == 2
         assert "position" in err
 

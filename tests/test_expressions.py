@@ -71,11 +71,20 @@ class TestParse:
         ("S2 @ S2", 3),
         ("Sng(1,1)", 0),
         ("Sng 4,2)", 4),
+        # digits that int() rejects: superscript two, circled one
+        ("S\u00b2", 0),
+        ("S\u2460", 0),
+        ("Sng(4,\u00b2)", 6),
+        ("S3 x S\u00b2", 5),
     ])
     def test_syntax_errors_report_position(self, text, position):
         with pytest.raises(ParseError) as err:
             parse_manifold(text)
         assert err.value.position == position
+
+    def test_decimal_digits_of_any_script_parse(self):
+        assert parse_manifold("S\u0663") == SphereAtom(3)  # Arabic-Indic three
+        assert parse_manifold("Sng(\u0664,\u0662)") == s_ng(4, 2)
 
     def test_negative_sng_genus_is_unparseable(self):
         with pytest.raises(ParseError):

@@ -1,10 +1,13 @@
+import functools
 import importlib
 import random
 import time
 
 import pytest
 
+from flowtop import flows
 from flowtop.expressions import (
+    MAX_BRACKET_DEPTH,
     ConnSum,
     Product,
     SphereAtom,
@@ -62,6 +65,17 @@ class TestPoincarePolynomial:
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
             PoincarePolynomial([1, -1])
+
+    def test_repr_evaluates_back(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            p = poincare_polynomial(random_expr(rng))
+            assert eval(repr(p), {"PoincarePolynomial": PoincarePolynomial}) == p
+
+    def test_repr_is_sparse(self):
+        with address_space_cap():
+            text = repr(poincare_polynomial(SphereAtom(10**9)))
+        assert text == "PoincarePolynomial._of({0: 1, 1000000000: 1})"
 
     def test_pretty_printing(self):
         assert str(PoincarePolynomial([1, 2, 0, 2, 1])) == "1 + 2t + 2t^3 + t^4"
@@ -159,6 +173,17 @@ class TestConnectedSumPoly:
         with pytest.raises(ValueError):
             connected_sum_poly(
                 [PoincarePolynomial([1, 0, 0, 1]), PoincarePolynomial([1, 0, 0, 0, 1])], 4)
+
+    def test_huge_degree_error_names_the_summand_sparsely(self):
+        n = 10**9
+        with address_space_cap():
+            with pytest.raises(ValueError) as direct:
+                connected_sum_poly([PoincarePolynomial._of({0: 2, n: 1})], n)
+            doubled = poly_product(poincare_polynomial(SphereAtom(n)), PoincarePolynomial([2]))
+            with pytest.raises(ValueError) as public:
+                connected_sum_poly([doubled], n)
+        assert "PoincarePolynomial._of({0: 2, 1000000000: 1})" in str(direct.value)
+        assert "PoincarePolynomial._of({0: 2, 1000000000: 2})" in str(public.value)
 
     def test_non_unital_ends(self):
         with pytest.raises(ValueError):
@@ -267,14 +292,15 @@ def ungrouped_ranks(expr):
 
 class TestRepeatedSummands:
     def test_sng_recursion_does_not_grow_with_genus(self, monkeypatch):
+        # The fold is what recurses; homology() itself is entered once.
         calls = []
-        recurse = homology_module.homology
+        recurse = homology_module._ranks
 
         def counting(expr):
             calls.append(expr)
             return recurse(expr)
 
-        monkeypatch.setattr(homology_module, "homology", counting)
+        monkeypatch.setattr(homology_module, "_ranks", counting)
         assert homology_module.homology(s_ng(6, 1000)).ranks == {
             0: 1, 1: 1000, 5: 1000, 6: 1}
         assert len(calls) <= 4
@@ -305,3 +331,75 @@ class TestRepeatedSummands:
         g = 10**9
         with address_space_cap():
             assert homology(s_ng(5, g)).ranks == {0: 1, 1: g, 4: g, 5: 1}
+
+
+def per_node_homology(expr):
+    """Reference: a validated GradedGroup at every node of the tree."""
+    if isinstance(expr, SphereAtom):
+        return GradedGroup({0: 1, expr.k: 1})
+    if isinstance(expr, Product):
+        left, right = per_node_homology(expr.left), per_node_homology(expr.right)
+        assert left.is_torsion_free and right.is_torsion_free
+        return GradedGroup(convolve_ranks(left.ranks, right.ranks))
+    ranks = {0: 1, expr.dim: 1}
+    for summand, copies in expr.parts:
+        for i, r in per_node_homology(summand).ranks.items():
+            if 0 < i < expr.dim:
+                ranks[i] = ranks.get(i, 0) + copies * r
+    return GradedGroup(ranks)
+
+
+class TestFold:
+    def assert_matches_reference(self, expr):
+        expected = per_node_homology(expr)
+        assert homology(expr) == expected
+        assert poincare_polynomial(expr) == PoincarePolynomial._of(expected.ranks)
+        for i in {0, 1, expr.dim - 1, expr.dim, expr.dim + 1}:
+            assert betti(expr, i) == expected.rank(i)
+        assert euler_characteristic(expr) == sum(
+            (-1) ** i * r for i, r in expected.ranks.items())
+
+    def test_random_trees(self):
+        rng = random.Random(14)
+        for _ in range(500):
+            self.assert_matches_reference(random_expr(rng))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_sng_up_to_genus_one_billion(self, n):
+        with address_space_cap():
+            for g in (0, 1, 2, 3, 10, 1000, 10**6, 10**9):
+                self.assert_matches_reference(s_ng(n, g))
+
+    def test_product_chain_at_the_height_cap(self):
+        factors = [SphereAtom(1 + i % 3) for i in range(MAX_BRACKET_DEPTH + 1)]
+        chain = functools.reduce(Product, factors)
+        assert chain.height == MAX_BRACKET_DEPTH
+        self.assert_matches_reference(chain)
+        self.assert_matches_reference(Product(SphereAtom(2), chain.left))
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every GradedGroup constructed while the test runs."""
+        built = []
+        init = GradedGroup.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GradedGroup, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize("call", [
+        homology,
+        poincare_polynomial,
+        euler_characteristic,
+        lambda expr: betti(expr, 1),
+    ])
+    def test_each_call_builds_one_graded_group(self, call, built):
+        call(parse_manifold("(S2 x S1 x S3 # Sng(6,4)) x S2 # S5 x S2 x S1 # S8"))
+        assert len(built) == 1
+
+    def test_flows_poincare_builds_one_graded_group(self, built):
+        flows._poincare.__wrapped__(7, 2000)  # past the per-process cache
+        assert len(built) == 1
