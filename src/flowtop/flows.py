@@ -377,20 +377,28 @@ def _check_connections(spec: FlowSpec) -> CheckResult:
     for name in sorted(idx):
         if not is_saddle(name):
             continue
+        # The unstable manifold of an index-1 saddle is two separatrices, and
+        # each may end at its own sink; its stable manifold minus the saddle
+        # is connected, so it lies in one source basin.  Index n-1 is the
+        # mirror case, and in n = 2 a saddle is both.
+        two_sinks, two_sources = idx[name] == 1, idx[name] == n - 1
         nbrs = neighbours.get(name, set())
         sinks = sorted(v for v in nbrs if idx[v] == 0)
         sources = sorted(v for v in nbrs if idx[v] == n)
-        if len(sinks) != 1 or len(sources) != 1:
+        if not (1 <= len(sinks) <= 1 + two_sinks and 1 <= len(sources) <= 1 + two_sources):
             problems.append(
-                f"saddle {name} must connect to exactly one sink and one source, "
+                f"saddle {name} of index {idx[name]} must connect to "
+                f"{'one or two sinks' if two_sinks else 'one sink'} and "
+                f"{'one or two sources' if two_sources else 'one source'}, "
                 f"found sinks {sinks} and sources {sources}")
     if problems:
         return CheckResult("connections", False, "; ".join(problems))
     return CheckResult(
         "connections", True,
         "no index has more labelled equilibria than its count and every counted "
-        "saddle is labelled; no saddle-to-saddle edges; every saddle has a unique "
-        "sink and source")
+        "saddle is labelled; no saddle-to-saddle edges; every saddle has one "
+        "source and one sink, except that an index-1 saddle may have two sinks "
+        "and an index-(n-1) saddle two sources")
 
 
 def enumerate_flows(n: int, g: int, k_max: int) -> list[tuple[int, ...]]:

@@ -164,8 +164,8 @@ class SimplicialComplex:
         the j-th vertex is (-1)^j.  Only the i + 1 nonzero entries of each
         column are stored.
         """
-        if not 1 <= i <= self.dim:
-            raise ValueError(f"boundary degree must lie in 1..{self.dim}, got {i}")
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.dim:
+            raise ValueError(f"boundary degree must lie in 1..{self.dim}, got {i!r}")
         return IntegerMatrix.from_columns(self._boundary_columns(i),
                                           len(self._simplices[i - 1]))
 
@@ -378,19 +378,26 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
     t.  So f_d = sum over p, q of f_p(K) f_q(L) d!/((d-q)!(d-p)!(p+q-d)!),
     the closed-form f-vector of a product.  Vertex (a, b) has index
     a * |L| + b, which increases along a chain, so every generated tuple
-    is increasing and only each level needs sorting.  The facets are the (p + q)-paths of the facet pairs: a
-    simplex containing one has the same projections, and a chain in f x h
-    has at most p + q + 1 vertices, so each is maximal.
+    is increasing and only each level needs sorting.  The facets are the
+    (p + q)-paths of the facet pairs f x h, for f a p-facet and h a q-facet:
+    a simplex containing one has the same projections, and a chain in f x h
+    has at most p + q + 1 vertices, so each is maximal.  When both factors
+    are pure, so is the product, and its facets are its top level: the same
+    tuples, taken from the lattice.  Only when a factor is not pure are the
+    facet pairs' paths generated a second time, as the facets.
     """
     width = len(L._labels)
 
-    def grids(faces_K: Iterable[tuple[int, ...]],
-              faces_L: Iterable[tuple[int, ...]]) -> list[list[int]]:
-        """The indices of s x t flattened by rows, for each face pair.  The
-        faces of L are the outer loop: for one word, the simplices over one
-        face of L then come out in the (sorted) order of the faces of K, so
-        each level is sorted from long runs."""
-        rows = [[a * width for a in s] for s in faces_K]
+    def scaled(faces_K: Iterable[tuple[int, ...]]) -> list[list[int]]:
+        """The row offsets a * |L| of each face of K."""
+        return [[a * width for a in s] for s in faces_K]
+
+    def grids(rows: list[list[int]], faces_L: Iterable[tuple[int, ...]]) -> list[list[int]]:
+        """The indices of s x t flattened by rows, for each face pair, from
+        the faces s of K as scaled rows.  The faces of L are the outer loop:
+        for one word, the simplices over one face of L then come out in the
+        (sorted) order of the faces of K, so each level is sorted from long
+        runs."""
         return [[a + b for a in r for b in t] for t in faces_L for r in rows]
 
     def cells(pairs: list[list[int]], p: int, q: int, d: int) -> list[tuple[int, ...]]:
@@ -411,19 +418,25 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
 
     levels: list[list[tuple[int, ...]]] = [[] for _ in range(K.dim + L.dim + 1)]
     for p, faces_K in enumerate(K._simplices):
+        rows = scaled(faces_K)
         for q, faces_L in enumerate(L._simplices):
-            pairs = grids(faces_K, faces_L)
+            pairs = grids(rows, faces_L)
             for d in range(max(p, q), p + q + 1):
                 levels[d] += cells(pairs, p, q, d)
     for level in levels:
         level.sort()
-    facets = []
-    for size_K, group_K in groupby(sorted(K._facets, key=len), len):
-        facets_K = list(group_K)
-        for size_L, facets_L in groupby(sorted(L._facets, key=len), len):
-            facets += cells(grids(facets_K, facets_L), size_K - 1, size_L - 1,
-                            size_K + size_L - 2)
-    facets.sort()
+    # Every top simplex is a facet, so a factor is pure when it has no more
+    # facets than top simplices.
+    if all(len(M._facets) == len(M._simplices[-1]) for M in (K, L)):
+        facets = levels[-1]
+    else:
+        facets = []
+        for size_K, group_K in groupby(sorted(K._facets, key=len), len):
+            rows = scaled(group_K)
+            for size_L, facets_L in groupby(sorted(L._facets, key=len), len):
+                facets += cells(grids(rows, facets_L), size_K - 1, size_L - 1,
+                                size_K + size_L - 2)
+        facets.sort()
     labels = tuple((a, b) for a in K._labels for b in L._labels)
     return SimplicialComplex._from_lattice(labels, tuple(facets), levels)
 

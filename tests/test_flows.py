@@ -228,7 +228,10 @@ class TestConnections:
         assert not connections.passed
         assert "joins two saddles" in connections.detail
 
-    def test_saddle_with_two_sinks_fails(self):
+    def test_index_one_saddle_with_two_sinks_passes(self):
+        # The S^4 dumbbell: two minima, one 1-handle and one maximum.  The
+        # saddle's two separatrices end at different sinks; its stable
+        # manifold minus the saddle is connected, so one source.
         spec = FlowSpec(
             4, (2, 1, 0, 0, 1),
             connections=(
@@ -237,7 +240,45 @@ class TestConnections:
             indices={"a1": 0, "a2": 0, "s": 1, "w": 4},
         )
         report = validate_flow(spec)
-        assert not report.check("connections").passed
+        assert report.admissible
+        assert report.check("connections").passed
+
+    @pytest.mark.parametrize("n, counts, edges, indices, failure", [
+        # index n-1 mirrors index 1: one sink and one or two sources
+        (4, (1, 0, 0, 1, 2), ["w1 r", "w2 r", "r a"], {"a": 0, "r": 3, "w1": 4, "w2": 4},
+         None),
+        (4, (2, 0, 0, 1, 1), ["w r", "r a1", "r a2"], {"a1": 0, "a2": 0, "r": 3, "w": 4},
+         "saddle r of index 3 must connect to one sink and one or two sources, "
+         "found sinks ['a1', 'a2'] and sources ['w']"),
+        (4, (3, 1, 0, 0, 1), ["s a1", "s a2", "s a3", "w s"],
+         {"a1": 0, "a2": 0, "a3": 0, "s": 1, "w": 4},
+         "saddle s of index 1 must connect to one or two sinks and one source, "
+         "found sinks ['a1', 'a2', 'a3'] and sources ['w']"),
+        (4, (1, 1, 0, 0, 2), ["w1 s", "w2 s", "s a"], {"a": 0, "s": 1, "w1": 4, "w2": 4},
+         "saddle s of index 1 must connect to one or two sinks and one source, "
+         "found sinks ['a'] and sources ['w1', 'w2']"),
+        # in n = 2 index 1 is also n - 1: both invariant manifolds are two
+        # separatrices
+        (2, (2, 1, 2), ["s a1", "s a2", "w1 s", "w2 s"],
+         {"a1": 0, "a2": 0, "s": 1, "w1": 2, "w2": 2}, None),
+        (2, (3, 1, 1), ["s a1", "s a2", "s a3", "w s"],
+         {"a1": 0, "a2": 0, "a3": 0, "s": 1, "w": 2},
+         "saddle s of index 1 must connect to one or two sinks and one or two sources, "
+         "found sinks ['a1', 'a2', 'a3'] and sources ['w']"),
+        # middle indices keep one sink and one source
+        (6, (2, 0, 0, 1, 0, 0, 1), ["w m", "m a1", "m a2"],
+         {"a1": 0, "a2": 0, "m": 3, "w": 6},
+         "saddle m of index 3 must connect to one sink and one source, "
+         "found sinks ['a1', 'a2'] and sources ['w']"),
+    ], ids=["index-3-two-sources", "index-3-two-sinks", "index-1-three-sinks",
+            "index-1-two-sources", "n2-two-of-each", "n2-three-sinks", "middle-two-sinks"])
+    def test_saddle_rule_by_index(self, n, counts, edges, indices, failure):
+        spec = FlowSpec(n, counts, connections=tuple(Connection(*e.split()) for e in edges),
+                        indices=indices)
+        connections = validate_flow(spec).check("connections")
+        assert connections.passed == (failure is None)
+        if failure is not None:
+            assert failure in connections.detail
 
     def test_isolated_labelled_saddle_fails(self):
         spec = FlowSpec(

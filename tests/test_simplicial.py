@@ -161,6 +161,12 @@ class TestBoundaryMatrix:
         with pytest.raises(ValueError):
             K.boundary_matrix(3)
 
+    @pytest.mark.parametrize("degree", [True, 1.0, "1"])
+    def test_degree_that_is_not_an_int_is_refused(self, degree):
+        # True == 1 and hashes like it, so only a type check tells them apart.
+        with pytest.raises(ValueError, match="boundary degree must lie in 1..2"):
+            boundary_sphere_complex(2).boundary_matrix(degree)
+
     def test_s2_cubed_boundaries_are_sparse(self):
         # Densely, d_4 alone is 18240 x 27456 entries, several gigabytes;
         # sparse, every boundary of S2 x S2 x S2 fits well under the cap.
@@ -783,6 +789,11 @@ def staircase_cases():
     }
 
 
+# The oracle-ladder and complex-build expressions of perfbench/workloads.py.
+BENCHMARK_TEXTS = ["Sng(4,2)", "Sng(3,6)", "Sng(4,4)", "S3 x S2", "Sng(5,2)", "Sng(6,1)",
+                   "S2 x S1 x S1", "Sng(6,4)", "S3 x S3", "S2 x S2 x S2", "S2 x S1 x S1 x S1"]
+
+
 class TestStaircaseLattice:
     @pytest.mark.parametrize("name", list(staircase_cases()))
     def test_matches_the_facet_derived_reference(self, name):
@@ -798,13 +809,20 @@ class TestStaircaseLattice:
 
         staircase_cases()[name](product)
 
-    # The oracle-ladder and complex-build expressions of perfbench/workloads.py.
-    @pytest.mark.parametrize("text", ["Sng(4,2)", "Sng(3,6)", "Sng(4,4)", "S3 x S2", "Sng(5,2)",
-                                      "Sng(6,1)", "S2 x S1 x S1", "Sng(6,4)", "S3 x S3",
-                                      "S2 x S2 x S2", "S2 x S1 x S1 x S1"])
+    @pytest.mark.parametrize("text", BENCHMARK_TEXTS)
     def test_triangulate_matches_the_facet_derived_reference(self, text):
         expr = parse_manifold(text)
         assert_same_complex(triangulate(expr), staircase_triangulation(expr))
+
+    @pytest.mark.parametrize("text", BENCHMARK_TEXTS + ["S1 x S1 x S1 x S1 x S1",
+                                                         "S2 x S2 x S1 x S1"])
+    def test_pure_facets_are_the_top_level_itself(self, text):
+        # A pure product's facets are its top level: the same tuples, not a
+        # second generation of them.
+        K = triangulate(parse_manifold(text))
+        top = K._simplices[-1]
+        assert K._facets == tuple(top)
+        assert all(f is s for f, s in zip(K._facets, top))
 
 
 class TestJson:
