@@ -124,12 +124,16 @@ class SimplicialComplex:
         return len(self._simplices) - 1
 
     def n_simplices(self, d: int) -> int:
+        """Number of d-simplices; 0 for an int d outside 0..dim."""
+        _check_degree(d)
         if 0 <= d <= self.dim:
             return len(self._simplices[d])
         return 0
 
     def simplices(self, d: int) -> list[tuple[Hashable, ...]]:
-        """d-simplices as label tuples, in lexicographic basis order."""
+        """d-simplices as label tuples, in lexicographic basis order; [] for
+        an int d outside 0..dim."""
+        _check_degree(d)
         if not 0 <= d <= self.dim:
             return []
         return [tuple(self._labels[i] for i in s) for s in self._simplices[d]]
@@ -162,16 +166,23 @@ class SimplicialComplex:
         Rows are indexed by the (i-1)-simplices and columns by the
         i-simplices, both in lexicographic order; the entry for dropping
         the j-th vertex is (-1)^j.  Only the i + 1 nonzero entries of each
-        column are stored.
+        column are stored.  The columns are valid by construction (rows
+        from the (i-1)-level, entries +-1), so the matrix adopts them
+        without a second check or copy.
         """
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.dim:
             raise ValueError(f"boundary degree must lie in 1..{self.dim}, got {i!r}")
-        return IntegerMatrix.from_columns(self._boundary_columns(i),
-                                          len(self._simplices[i - 1]))
+        return IntegerMatrix._of(list(self._boundary_columns(i)), len(self._simplices[i - 1]))
 
     def __repr__(self) -> str:
         counts = [len(level) for level in self._simplices]
         return f"SimplicialComplex(dim={self.dim}, simplex_counts={counts})"
+
+
+def _check_degree(d) -> None:
+    # True == 1 and indexes a list like it, so only a type check refuses it.
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"degree must be an integer, got {d!r}")
 
 
 def eliminate_unit_pivots(lows: Sequence[int | None],
@@ -209,7 +220,8 @@ def eliminate_unit_pivots(lows: Sequence[int | None],
     factors are the pivots' 1s followed by the residual's.
 
     Returns the pivots, as a dict from pivot row to its column, and the
-    residual: the non-empty columns left, in order, on the rows they touch.
+    residual: the non-empty columns left, in order, on the rows they touch,
+    renumbered 0..k-1 and free of zeros, so the matrix adopts them unchecked.
     The residual may still hold +-1 entries.  The dicts that ``column``
     returns are reduced in place: afterwards each built pivot column holds
     its reduced column and every other column its part of the residual (on
@@ -249,8 +261,8 @@ def eliminate_unit_pivots(lows: Sequence[int | None],
                 _subtract(col, pivot, col[r] * pivot[r], heap)
     kept = [col for col in rest if col]
     renumber = {r: k for k, r in enumerate(sorted({r for col in kept for r in col}))}
-    residual = ({renumber[r]: x for r, x in col.items()} for col in kept)
-    return pivot_of, IntegerMatrix.from_columns(residual, len(renumber))
+    residual = [{renumber[r]: x for r, x in col.items()} for col in kept]
+    return pivot_of, IntegerMatrix._of(residual, len(renumber))
 
 
 class _Built(dict):

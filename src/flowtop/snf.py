@@ -8,6 +8,12 @@ it is moved to the diagonal and made positive in one place.  Divisibility
 violations are repaired by adding the offending row to the pivot row.
 Keeping the pivot minimal bounds the intermediate coefficient growth well
 enough for the matrix sizes this package meets, with no modular techniques.
+
+Entries, row indices and sizes are checked at the public constructors,
+``IntegerMatrix(rows, ncols)`` and :meth:`IntegerMatrix.from_columns`.  The
+package's own columns that are valid by construction (boundary matrices and
+the residual of unit-pivot elimination) are adopted unchecked and uncopied
+through the private ``IntegerMatrix._of``.
 """
 
 from __future__ import annotations
@@ -26,17 +32,28 @@ def _check_entry(x) -> None:
         raise TypeError(f"matrix entries must be integers, got {x!r}")
 
 
+def _check_size(name: str, n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"{name} must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative, got {n}")
+
+
 class IntegerMatrix:
     """Immutable matrix of arbitrary-precision integers, stored as sparse columns.
 
     Column j is a dict from row index to nonzero entry.  Zeros are never
     stored, so checking, comparing and multiplying a matrix built by
-    :meth:`from_columns` costs O(nonzeros), not O(rows x columns).
+    :meth:`from_columns` costs O(nonzeros), not O(rows x columns).  Both
+    public constructors check every entry and row index; only ``_of``,
+    for columns the package builds valid, skips the check.
     """
 
     __slots__ = ("_cols", "_nrows")
 
     def __init__(self, rows: Iterable[Sequence[int]], ncols: int | None = None):
+        if ncols is not None:
+            _check_size("ncols", ncols)
         data = [list(row) for row in rows]
         if data:
             width = len(data[0])
@@ -45,8 +62,6 @@ class IntegerMatrix:
         else:
             if ncols is None:
                 raise ValueError("a matrix with no rows needs an explicit ncols")
-            if ncols < 0:
-                raise ValueError(f"ncols must be non-negative, got {ncols}")
             width = ncols
         cols: list[dict[int, int]] = [{} for _ in range(width)]
         for i, row in enumerate(data):
@@ -65,12 +80,10 @@ class IntegerMatrix:
         """Matrix whose j-th column maps row indices to entries; zeros are dropped.
 
         Entries are checked as the row constructor checks them, and every
-        row index must be an integer in 0..nrows-1.
+        row index must be an integer in 0..nrows-1.  The columns are copied,
+        so the caller's mappings are never adopted.
         """
-        if not isinstance(nrows, int) or isinstance(nrows, bool):
-            raise TypeError(f"nrows must be an integer, got {nrows!r}")
-        if nrows < 0:
-            raise ValueError(f"nrows must be non-negative, got {nrows}")
+        _check_size("nrows", nrows)
         cols = []
         for column in columns:
             col = {}
@@ -84,8 +97,18 @@ class IntegerMatrix:
                 if x:
                     col[r] = x
             cols.append(col)
+        return cls._of(cols, nrows)
+
+    @classmethod
+    def _of(cls, columns: list[dict[int, int]], nrows: int) -> "IntegerMatrix":
+        """Matrix that adopts ``columns`` as they are: no check, no copy.
+
+        The caller guarantees that ``nrows`` is a non-negative int, that
+        every row index is a non-bool int in 0..nrows-1 and every entry a
+        nonzero non-bool int, and that no one mutates the dicts afterwards.
+        """
         matrix = object.__new__(cls)
-        matrix._cols = cols
+        matrix._cols = columns
         matrix._nrows = nrows
         return matrix
 

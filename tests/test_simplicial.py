@@ -1,4 +1,5 @@
 import random
+import re
 from functools import reduce
 from itertools import combinations
 from math import factorial
@@ -32,6 +33,33 @@ def point_complex():
 
 def torus_complex():
     return product_complex(circle_complex(3), circle_complex(3))
+
+
+def assert_boundaries_are_the_checked_columns(K, monkeypatch):
+    """Every boundary of K equals the validating constructor applied to the
+    columns the alternating-sign rule gives, yet neither ``boundary_matrix``
+    nor ``simplicial_homology`` calls it, and the elimination, which reduces
+    its columns in place, leaves the returned matrices as they were."""
+    calls = []
+    from_columns = IntegerMatrix.from_columns.__func__
+
+    def counting(cls, columns, nrows):
+        calls.append(1)
+        return from_columns(cls, columns, nrows)
+
+    monkeypatch.setattr(IntegerMatrix, "from_columns", classmethod(counting))
+    degrees = range(1, K.dim + 1)
+    before = {i: K.boundary_matrix(i) for i in degrees}
+    simplicial_homology(K)
+    after = {i: K.boundary_matrix(i) for i in degrees}
+    assert not calls
+    for i, d in before.items():
+        assert d.shape == (K.n_simplices(i - 1), K.n_simplices(i))
+        row_of = {face: r for r, face in enumerate(K.simplices(i - 1))}
+        columns = [{row_of[s[:j] + s[j + 1:]]: (-1) ** j for j in range(i + 1)}
+                   for s in K.simplices(i)]
+        assert d == after[i] == IntegerMatrix.from_columns(columns, d.nrows), i
+    return before
 
 
 def assert_chain_complex(K):
@@ -164,24 +192,39 @@ class TestBoundaryMatrix:
     @pytest.mark.parametrize("degree", [True, 1.0, "1"])
     def test_degree_that_is_not_an_int_is_refused(self, degree):
         # True == 1 and hashes like it, so only a type check tells them apart.
+        K = boundary_sphere_complex(2)
         with pytest.raises(ValueError, match="boundary degree must lie in 1..2"):
-            boundary_sphere_complex(2).boundary_matrix(degree)
+            K.boundary_matrix(degree)
+        refusal = re.escape(f"degree must be an integer, got {degree!r}")
+        for method in (K.n_simplices, K.simplices):
+            with pytest.raises(ValueError, match=refusal):
+                method(degree)
+        # an int outside 0..dim is a degree with no simplices
+        assert [K.n_simplices(d) for d in (-1, 3)] == [0, 0]
+        assert [K.simplices(d) for d in (-1, 3)] == [[], []]
 
-    def test_s2_cubed_boundaries_are_sparse(self):
+    def test_s2_cubed_boundaries_are_sparse(self, monkeypatch):
         # Densely, d_4 alone is 18240 x 27456 entries, several gigabytes;
         # sparse, every boundary of S2 x S2 x S2 fits well under the cap.
         K = triangulate(parse_manifold("S2 x S2 x S2"))
         with address_space_cap():
-            boundaries = {i: K.boundary_matrix(i) for i in range(1, K.dim + 1)}
+            boundaries = assert_boundaries_are_the_checked_columns(K, monkeypatch)
             for i, d in boundaries.items():
-                assert d.shape == (K.n_simplices(i - 1), K.n_simplices(i))
-                row_of = {face: r for r, face in enumerate(K.simplices(i - 1))}
-                columns = [{row_of[s[:j] + s[j + 1:]]: (-1) ** j for j in range(i + 1)}
-                           for s in K.simplices(i)]
-                assert d == IntegerMatrix.from_columns(columns, d.nrows)
                 if i > 1:
                     lower = boundaries[i - 1]
                     assert lower @ d == IntegerMatrix.zeros(lower.nrows, d.ncols)
+
+    @pytest.mark.parametrize("make", [
+        projective_plane_complex,
+        lambda: complex_from_json(complex_to_json(permuted(
+            product_complex(projective_plane_complex(), circle_complex(3)), random.Random(3)))),
+        lambda: triangulate(parse_manifold("Sng(4,3)")),
+        lambda: triangulate(parse_manifold("S3 x S3")),
+        lambda: SimplicialComplex(range(7), [(0, 1, 2, 3), (2, 3, 4), (4, 5), (5, 6), (4, 6),
+                                             (1, 5)]),
+    ], ids=["RP2", "shuffled JSON RP2 x S1", "Sng(4,3)", "S3 x S3", "non-pure"])
+    def test_boundaries_are_the_checked_columns(self, make, monkeypatch):
+        assert_boundaries_are_the_checked_columns(make(), monkeypatch)
 
     def test_chain_complex_identity(self):
         for K in (boundary_sphere_complex(2), boundary_sphere_complex(3),

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -123,6 +124,16 @@ class TestIntegerMatrix:
         A = IntegerMatrix.from_columns([{0: 0, 2: 5}, {1: 0}], 3)
         B = IntegerMatrix([[0, 0], [0, 0], [5, 0]])
         assert A == B and hash(A) == hash(B)
+
+    @pytest.mark.parametrize("ncols", [True, 1.5, "2"])
+    def test_ncols_that_is_not_an_int_is_refused(self, ncols):
+        refusal = re.escape(f" must be an integer, got {ncols!r}")
+        for rows in ([], [[1]]):
+            with pytest.raises(TypeError, match="ncols" + refusal):
+                IntegerMatrix(rows, ncols=ncols)
+        # the wording from_columns gives a bad nrows
+        with pytest.raises(TypeError, match="nrows" + refusal):
+            IntegerMatrix.from_columns([], ncols)
 
     def test_determinant_against_rational_elimination(self):
         rng = random.Random(42)
