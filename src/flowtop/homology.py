@@ -52,14 +52,14 @@ class GradedGroup:
                  torsion: Mapping[int, Iterable[int]] | None = None):
         clean_ranks: dict[int, int] = {}
         for deg, r in dict(ranks or {}).items():
-            _check_degree(deg)
+            _check_stored_degree(deg)
             if not isinstance(r, int) or isinstance(r, bool) or r < 0:
                 raise ValueError(f"rank in degree {deg} must be a non-negative integer")
             if r:
                 clean_ranks[deg] = r
         clean_torsion: dict[int, tuple[int, ...]] = {}
         for deg, factors in dict(torsion or {}).items():
-            _check_degree(deg)
+            _check_stored_degree(deg)
             fs = tuple(factors)
             for f in fs:
                 if not isinstance(f, int) or f < 2:
@@ -105,9 +105,17 @@ class GradedGroup:
         return f"GradedGroup(ranks={self._ranks!r}, torsion={self._torsion!r})"
 
 
-def _check_degree(deg) -> None:
-    if not isinstance(deg, int) or isinstance(deg, bool) or deg < 0:
-        raise ValueError(f"degrees must be non-negative integers, got {deg!r}")
+def _check_degree(d) -> None:
+    # True == 1 and indexes a list like it, so only a type check refuses it.
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"degree must be an integer, got {d!r}")
+
+
+def _check_stored_degree(d) -> None:
+    # one test on the path every valid degree takes; the shared check names a non-int
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        _check_degree(d)
+        raise ValueError(f"degrees must be non-negative integers, got {d!r}")
 
 
 class PoincarePolynomial:
@@ -238,7 +246,8 @@ def connected_sum_poly(polys: Iterable[PoincarePolynomial], n: int) -> PoincareP
 
 
 def betti(expr: ManifoldExpr, i: int) -> int:
-    """Rank of the i-th homology group; 0 outside degrees 0..dimension."""
+    """Rank of the i-th homology group; 0 for an int i outside 0..dimension."""
+    _check_degree(i)
     return homology(expr).rank(i)
 
 

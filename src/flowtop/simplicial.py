@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Any
 
 from .expressions import ConnSum, ManifoldExpr, Product, SphereAtom
-from .homology import GradedGroup
+from .homology import GradedGroup, _check_degree
 from .snf import IntegerMatrix, smith_diagonal
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "complex_from_json",
     "complex_to_json",
     "connected_sum_complex",
-    "eliminate_unit_pivots",
     "product_complex",
     "projective_plane_complex",
     "simplicial_homology",
@@ -179,22 +178,18 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim={self.dim}, simplex_counts={counts})"
 
 
-def _check_degree(d) -> None:
-    # True == 1 and indexes a list like it, so only a type check refuses it.
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"degree must be an integer, got {d!r}")
-
-
-def eliminate_unit_pivots(lows: Sequence[int | None],
-                          column: Callable[[int], dict[int, int]]
-                          ) -> tuple[dict[int, int], IntegerMatrix]:
+def _eliminate_unit_pivots(lows: Sequence[int | None],
+                           column: Callable[[int], dict[int, int]]
+                           ) -> tuple[dict[int, int], IntegerMatrix]:
     """Split the +-1 pivots off a sparse integer matrix whose columns are
     built only when they are read.
 
     ``column(c)`` builds column c as a dict from row index to a nonzero
     entry; ``lows[c]`` is the row of its lowest entry (largest index) when
-    that entry is known to be +-1, else None.  The pivots are taken on each
-    column's lowest row by a left-to-right column reduction.  In basis
+    that entry is known to be +-1, else None.  Nothing is checked, as in
+    ``IntegerMatrix._of``: the caller guarantees non-negative int rows and
+    nonzero int entries.  The pivots are taken on each column's lowest row
+    by a left-to-right column reduction.  In basis
     order, while a column's lowest row is the pivot row of an earlier
     column, that pivot column is subtracted from it; when its lowest entry
     is then +-1, that row becomes its pivot.  A reduced pivot column is zero
@@ -297,9 +292,9 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     """Integer homology of K from the invariant factors of its boundary maps.
 
     The boundaries are taken top-down, from d_top to d_1.  Each d_i has its
-    +-1 pivots split off (:func:`eliminate_unit_pivots`); only the residual
-    goes to dense Smith normal form.  rank d_i is the number of pivots plus
-    the residual's rank.  rank H_i = (#i-simplices) - rank d_i -
+    +-1 pivots split off (:func:`_eliminate_unit_pivots`); only the
+    residual, empty or not, goes to dense Smith normal form.  rank d_i is
+    the number of pivots plus the residual's rank.  rank H_i = (#i-simplices) - rank d_i -
     rank d_{i+1}, and the torsion of H_i is the set of invariant factors of
     d_{i+1} exceeding 1, all of which come from the residual.
 
@@ -329,8 +324,8 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
         face_row, boundary = K._boundary_of(i)
         kept = [s for r, s in enumerate(K._simplices[i]) if r not in pivots]
         lows = list(map(face_row, map(itemgetter(slice(1, None)), kept)))
-        pivots, residual = eliminate_unit_pivots(lows, lambda c: boundary(kept[c]))
-        diag = smith_diagonal(residual) if residual.nrows else []
+        pivots, residual = _eliminate_unit_pivots(lows, lambda c: boundary(kept[c]))
+        diag = smith_diagonal(residual)
         rank_d[i] = len(pivots) + sum(1 for x in diag if x)
         factors = tuple(x for x in diag if x > 1)
         if factors:

@@ -8,6 +8,10 @@ it is moved to the diagonal and made positive in one place.  Divisibility
 violations are repaired by adding the offending row to the pivot row.
 Keeping the pivot minimal bounds the intermediate coefficient growth well
 enough for the matrix sizes this package meets, with no modular techniques.
+There is one elimination: :func:`smith_diagonal` runs it on A alone, and
+:func:`smith_normal_form` runs it on the augmented matrix [[A, I], [I, 0]],
+where the identity blocks become the transforms U and V (Cohen, *A Course
+in Computational Algebraic Number Theory*, 1993, section 2.4).
 
 Entries, row indices and sizes are checked at the public constructors,
 ``IntegerMatrix(rows, ncols)`` and :meth:`IntegerMatrix.from_columns`.  The
@@ -218,47 +222,14 @@ class IntegerMatrix:
         return sign * a[n - 1][n - 1]
 
 
-def _smith(d: list[list[int]], m: int, n: int,
-           u: list[list[int]] | None, v: list[list[int]] | None) -> None:
-    """In-place elimination of d to Smith form.
+def _smith(d: list[list[int]], m: int, n: int) -> None:
+    """In-place elimination of the top-left m x n block of d to Smith form.
 
-    Row operations are mirrored onto u and column operations onto v (when
-    provided), preserving u * A * v == d throughout.
+    Pivots are picked and cleared only in that block, but every row and
+    column operation acts on the whole of d.  So the rows of d below the
+    block record the column operations and the columns to its right record
+    the row operations (see :func:`smith_normal_form`).
     """
-
-    def swap_rows(a: int, b: int) -> None:
-        d[a], d[b] = d[b], d[a]
-        if u is not None:
-            u[a], u[b] = u[b], u[a]
-
-    def swap_cols(a: int, b: int) -> None:
-        for row in d:
-            row[a], row[b] = row[b], row[a]
-        if v is not None:
-            for row in v:
-                row[a], row[b] = row[b], row[a]
-
-    def negate_row(a: int) -> None:
-        d[a] = [-x for x in d[a]]
-        if u is not None:
-            u[a] = [-x for x in u[a]]
-
-    def row_reduce(tgt: int, src: int, q: int) -> None:
-        src_row = d[src]
-        d[tgt] = [x - q * y for x, y in zip(d[tgt], src_row)]
-        if u is not None:
-            src_row = u[src]
-            u[tgt] = [x - q * y for x, y in zip(u[tgt], src_row)]
-
-    def col_reduce(tgt: int, src: int, q: int) -> None:
-        for row in d:
-            if row[src]:
-                row[tgt] -= q * row[src]
-        if v is not None:
-            for row in v:
-                if row[src]:
-                    row[tgt] -= q * row[src]
-
     t = 0
     limit = min(m, n)
     while t < limit:
@@ -284,31 +255,34 @@ def _smith(d: list[list[int]], m: int, n: int,
         while True:
             # The one place a pivot is placed: (bi, bj) moves to (t, t), positive.
             if bi != t:
-                swap_rows(t, bi)
+                d[t], d[bi] = d[bi], d[t]
             if bj != t:
-                swap_cols(t, bj)
+                for row in d:
+                    row[t], row[bj] = row[bj], row[t]
             if d[t][t] < 0:
-                negate_row(t)
+                d[t] = [-x for x in d[t]]
             pivot = d[t][t]
             # Euclidean steps down the column, then along the row.  Floor
             # division leaves remainders in [0, pivot), so the smallest one
             # left over is a strictly smaller next pivot.
+            row_t = d[t]
             rest = []
             for i in range(t + 1, m):
                 if d[i][t]:
                     if q := d[i][t] // pivot:
-                        row_reduce(i, t, q)
+                        d[i] = [x - q * y for x, y in zip(d[i], row_t)]
                     if d[i][t]:
                         rest.append(i)
             if rest:
                 bi, bj = min(rest, key=lambda i: d[i][t]), t
                 continue
-            row_t = d[t]
             rest = []
             for j in range(t + 1, n):
                 if row_t[j]:
                     if q := row_t[j] // pivot:
-                        col_reduce(j, t, q)
+                        for row in d:
+                            if row[t]:
+                                row[j] -= q * row[t]
                     if row_t[j]:
                         rest.append(j)
             if rest:
@@ -319,10 +293,10 @@ def _smith(d: list[list[int]], m: int, n: int,
             offender = None
             if pivot != 1:
                 offender = next((i for i in range(t + 1, m)
-                                 if any(x % pivot for x in d[i][t + 1:])), None)
+                                 if any(x % pivot for x in d[i][t + 1:n])), None)
             if offender is None:
                 break
-            row_reduce(t, offender, -1)
+            d[t] = [x + y for x, y in zip(row_t, d[offender])]
             bi = bj = t
         t += 1
 
@@ -331,21 +305,23 @@ def smith_normal_form(A: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
     """Diagonalize A over the integers: returns (D, U, V) with U @ A @ V == D.
 
     D is diagonal with non-negative entries satisfying d_1 | d_2 | ...,
-    and U, V are unimodular (determinant +1 or -1).
+    and U, V are unimodular (determinant +1 or -1).  All three come from
+    one elimination, the one :func:`smith_diagonal` runs, on the augmented
+    matrix [[A, I_m], [I_n, 0]]: the row operations turn I_m into U, the
+    column operations turn I_n into V, and A becomes D = U A V.
     """
     m, n = A.shape
-    d = A.tolists()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    _smith(d, m, n, u, v)
-    return (IntegerMatrix(d, ncols=n),
-            IntegerMatrix(u, ncols=m),
-            IntegerMatrix(v, ncols=n))
+    d = [row + [int(i == j) for j in range(m)] for i, row in enumerate(A.tolists())]
+    d += [[int(i == j) for j in range(n)] + [0] * m for i in range(n)]
+    _smith(d, m, n)
+    return (IntegerMatrix([row[:n] for row in d[:m]], ncols=n),
+            IntegerMatrix([row[n:] for row in d[:m]], ncols=m),
+            IntegerMatrix([row[:n] for row in d[m:]], ncols=n))
 
 
 def smith_diagonal(A: IntegerMatrix) -> list[int]:
     """Diagonal of the Smith form of A, without tracking the transforms."""
     m, n = A.shape
     d = A.tolists()
-    _smith(d, m, n, None, None)
+    _smith(d, m, n)
     return [d[i][i] for i in range(min(m, n))]

@@ -1,6 +1,7 @@
 import functools
 import importlib
 import random
+import re
 import time
 
 import pytest
@@ -201,6 +202,15 @@ class TestBetti:
     ])
     def test_examples(self, expr, i, expected):
         assert betti(expr, i) == expected
+
+    @pytest.mark.parametrize("degree", [True, 1.0, "1"])
+    def test_degree_that_is_not_an_int_is_refused(self, degree):
+        # True == 1, so only a type check tells it from degree 1
+        torus = parse_manifold("S1 x S1")
+        assert betti(torus, 1) == 2
+        refusal = re.escape(f"degree must be an integer, got {degree!r}")
+        with pytest.raises(ValueError, match=refusal):
+            betti(torus, degree)
 
     def test_corollary_pattern(self):
         for n in range(3, 9):

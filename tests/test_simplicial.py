@@ -16,7 +16,7 @@ from flowtop.simplicial import (
     complex_from_json,
     complex_to_json,
     connected_sum_complex,
-    eliminate_unit_pivots,
+    _eliminate_unit_pivots,
     product_complex,
     projective_plane_complex,
     simplicial_homology,
@@ -317,15 +317,15 @@ def unit_lows(columns):
 
 
 def eliminate(columns):
-    """eliminate_unit_pivots on columns given up front, with the columns as
+    """_eliminate_unit_pivots on columns given up front, with the columns as
     the builder, so that they are reduced in place."""
-    return eliminate_unit_pivots(unit_lows(columns), columns.__getitem__)
+    return _eliminate_unit_pivots(unit_lows(columns), columns.__getitem__)
 
 
 def eliminated_factors(columns):
     """Nonzero invariant factors from unit-pivot elimination plus the residual."""
     pivots, residual = eliminate(columns)
-    diag = smith_diagonal(residual) if residual.nrows else []
+    diag = smith_diagonal(residual)
     return [1] * len(pivots) + [x for x in diag if x], residual
 
 
@@ -416,7 +416,7 @@ def homology_without_clearing(K):
     rank_d, torsion = {}, {}
     for i in range(1, K.dim + 1):
         pivots, residual = eliminate(full_boundary_columns(K, i))
-        diag = smith_diagonal(residual) if residual.nrows else []
+        diag = smith_diagonal(residual)
         rank_d[i] = len(pivots) + sum(1 for x in diag if x)
         if any(x > 1 for x in diag):
             torsion[i - 1] = tuple(x for x in diag if x > 1)
@@ -496,6 +496,28 @@ class TestClearing:
         # emergent pairs: many kept columns are never built
         assert sum(map(len, built.values())) < sum(map(len, kept.values()))
 
+    def test_every_residual_goes_through_smith_diagonal(self, monkeypatch):
+        # one Smith form per boundary, d_top down to d_1, an empty residual too
+        expr = parse_manifold("Sng(4,2)")
+        K = triangulate(expr)
+        calls = []
+        boundary_of = SimplicialComplex._boundary_of
+
+        def logged_boundary(self, i):
+            calls.append(("boundary", i))
+            return boundary_of(self, i)
+
+        def logged_smith(residual):
+            calls.append(("smith", residual.shape))
+            return smith_diagonal(residual)
+
+        monkeypatch.setattr(SimplicialComplex, "_boundary_of", logged_boundary)
+        monkeypatch.setattr(simplicial, "smith_diagonal", logged_smith)
+        assert simplicial_homology(K) == homology(expr)
+        assert [c[0] for c in calls] == ["boundary", "smith"] * K.dim
+        assert [c[1] for c in calls[::2]] == list(range(K.dim, 0, -1))
+        assert (0, 0) in [c[1] for c in calls[1::2]]
+
     def test_pivot_columns_end_in_units_on_distinct_rows(self):
         matrices = [full_boundary_columns(K, i)
                     for K in rp2_products_and_sums() for i in range(1, K.dim + 1)]
@@ -546,7 +568,7 @@ def checked_factors(columns):
     work = [dict(c) for c in columns]
     pivots, residual = eliminate(work)
     assert_elimination_contract(work, pivots, residual)
-    diag = smith_diagonal(residual) if residual.nrows else []
+    diag = smith_diagonal(residual)
     return [1] * len(pivots) + [x for x in diag if x], residual
 
 
@@ -650,8 +672,8 @@ class TestEmergentPairs:
         for columns in matrices:
             eager, built_eagerly = counted([dict(c) for c in columns])
             lazy, built_lazily = counted([dict(c) for c in columns])
-            want = eliminate_unit_pivots([None] * len(columns), eager)
-            got = eliminate_unit_pivots(unit_lows(columns), lazy)
+            want = _eliminate_unit_pivots([None] * len(columns), eager)
+            got = _eliminate_unit_pivots(unit_lows(columns), lazy)
             assert got == want, columns
             assert built_eagerly == list(range(len(columns)))
             assert len(set(built_lazily)) == len(built_lazily)
@@ -664,7 +686,7 @@ class TestEmergentPairs:
         columns = [{0: 1, 3: 1}, {1: -1, 2: 1}, {0: 3, 3: 1}]
         assert dense_factors(columns, 4) == [1, 1, 2]
         column, built = counted(columns)
-        pivots, residual = eliminate_unit_pivots([3, 2, 3], column)
+        pivots, residual = _eliminate_unit_pivots([3, 2, 3], column)
         assert pivots == {3: 0, 2: 1}
         assert built == [2, 0]
         assert residual.shape == (1, 1) and residual[0, 0] == 2

@@ -161,12 +161,14 @@ class TestSmithNormalForm:
         assert U == IntegerMatrix.identity(3)
         assert V == IntegerMatrix.identity(2)
 
-    def test_empty_matrix(self):
-        A = IntegerMatrix([], ncols=3)
+    @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrix(self, m, n):
+        A = IntegerMatrix.zeros(m, n)
         D, U, V = smith_normal_form(A)
-        assert D.shape == (0, 3)
-        assert U.shape == (0, 0)
-        assert V == IntegerMatrix.identity(3)
+        assert D == A
+        assert U == IntegerMatrix.identity(m)
+        assert V == IntegerMatrix.identity(n)
+        assert smith_diagonal(A) == []
 
     def test_single_entry(self):
         D, _, _ = assert_valid_snf(IntegerMatrix([[-6]]))
