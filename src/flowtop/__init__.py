@@ -4,114 +4,26 @@ The package has two halves that check each other.  The closed-form half
 computes graded integer homology and Poincare polynomials for manifolds
 written as sphere atoms, products and connected sums, and validates count
 data of gradient-like flows without heteroclinic intersections (genus
-formula, Morse inequalities, middle-index exclusion, count laws).  The
+formula, middle-index exclusion, Morse inequalities, count laws, Euler
+characteristic and, when given, saddle-to-node connections).  The
 simplicial half triangulates the same manifolds and recomputes homology
 from integer boundary matrices via Smith normal form, providing an
 independent verification path.
+
+Each module's ``__all__`` is its public surface, and the package exports
+their union.
 """
 
-from .expressions import (
-    ConnSum,
-    DimensionMismatchError,
-    ManifoldExpr,
-    ParseError,
-    Product,
-    SphereAtom,
-    dimension,
-    parse_manifold,
-    render_manifold,
-    s_ng,
-)
-from .flows import (
-    CheckResult,
-    Connection,
-    FlowSpec,
-    GenusError,
-    GenusNegativityError,
-    GenusParityError,
-    ObstructionResult,
-    ValidationReport,
-    check_morse_inequalities,
-    enumerate_flows,
-    flow_spec_from_json,
-    flow_spec_to_json,
-    genus_of_counts,
-    obstruction_check,
-    report_to_json,
-    validate_flow,
-)
-from .homology import (
-    GradedGroup,
-    PoincarePolynomial,
-    betti,
-    connected_sum_poly,
-    euler_characteristic,
-    homology,
-    poincare_polynomial,
-    poly_product,
-)
-from .simplicial import (
-    SimplicialComplex,
-    boundary_sphere_complex,
-    circle_complex,
-    complex_from_json,
-    complex_to_json,
-    connected_sum_complex,
-    product_complex,
-    projective_plane_complex,
-    simplicial_homology,
-    triangulate,
-)
-from .snf import IntegerMatrix, smith_diagonal, smith_normal_form
+from . import expressions, flows, homology, simplicial, snf
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckResult",
-    "ConnSum",
-    "Connection",
-    "DimensionMismatchError",
-    "FlowSpec",
-    "GenusError",
-    "GenusNegativityError",
-    "GenusParityError",
-    "GradedGroup",
-    "IntegerMatrix",
-    "ManifoldExpr",
-    "ObstructionResult",
-    "ParseError",
-    "PoincarePolynomial",
-    "Product",
-    "SimplicialComplex",
-    "SphereAtom",
-    "ValidationReport",
-    "betti",
-    "boundary_sphere_complex",
-    "check_morse_inequalities",
-    "circle_complex",
-    "complex_from_json",
-    "complex_to_json",
-    "connected_sum_complex",
-    "connected_sum_poly",
-    "dimension",
-    "enumerate_flows",
-    "euler_characteristic",
-    "flow_spec_from_json",
-    "flow_spec_to_json",
-    "genus_of_counts",
-    "homology",
-    "obstruction_check",
-    "parse_manifold",
-    "poincare_polynomial",
-    "poly_product",
-    "product_complex",
-    "projective_plane_complex",
-    "render_manifold",
-    "report_to_json",
-    "s_ng",
-    "simplicial_homology",
-    "smith_diagonal",
-    "smith_normal_form",
-    "triangulate",
-    "validate_flow",
-]
+# Read before the star imports: afterwards the name homology is the function.
+__all__ = sorted({*expressions.__all__, *flows.__all__, *homology.__all__,
+                  *simplicial.__all__, *snf.__all__})
+
+from .expressions import *  # noqa: E402, F401, F403
+from .flows import *  # noqa: E402, F401, F403
+from .homology import *  # noqa: E402, F401, F403
+from .simplicial import *  # noqa: E402, F401, F403
+from .snf import *  # noqa: E402, F401, F403

@@ -9,11 +9,15 @@ of such a flow is the dimension-n genus-g piece with
 
     g = (nu - mu + 2) / 2,
 
-so a count vector is checked against the Betti numbers of that manifold:
-Morse inequalities, the middle-index exclusion (an index in 2..n-2 would
-give a pair of transversally crossing spheres with intersection number
-+1 or -1 that vanishing middle homology forces to 0), the count laws
-nu = 2g + k, mu = k + 2, and the Euler characteristic.
+and a count vector is checked against that manifold in six ways: the
+genus formula (g a non-negative integer), the middle-index exclusion (an
+index in 2..n-2 would give a pair of transversally crossing spheres with
+intersection number +1 or -1 that vanishing middle homology forces to 0),
+the Morse inequalities c_i >= beta_i, the count laws nu = 2g + k,
+mu = k + 2, the Euler characteristic, and, when connection data is
+given, the saddle-to-node connections (labels match the counts, no
+saddle-to-saddle edge, each saddle has the sinks and sources its index
+allows).
 """
 
 from __future__ import annotations
@@ -499,7 +503,7 @@ def report_to_json(report: ValidationReport) -> dict:
     }
 
 
-def report_from_json(data: Any) -> ValidationReport:
+def _report_from_json(data: Any) -> ValidationReport:
     """Inverse of report_to_json, used to round-trip emitted documents."""
     if not isinstance(data, dict):
         raise ValueError("validation report must be a JSON object")

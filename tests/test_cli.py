@@ -192,14 +192,14 @@ class TestEnumerateCommand:
         # meets the closed pipe after the reader has gone.
         src = os.path.dirname(os.path.dirname(flowtop.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "flowtop", "enumerate", "--n", "8", "--g", "5",
-             "--k-max", "20"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
+        with subprocess.Popen(
+                [sys.executable, "-m", "flowtop", "enumerate", "--n", "8", "--g", "5",
+                 "--k-max", "20"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
         assert json.loads(first)["c"][0] == 1
         assert err == b""
 

@@ -13,7 +13,7 @@ from flowtop.flows import (
     flow_spec_to_json,
     genus_of_counts,
     obstruction_check,
-    report_from_json,
+    _report_from_json,
     report_to_json,
     validate_flow,
 )
@@ -468,7 +468,7 @@ class TestJson:
         assert set(doc) == {"genus", "k", "admissible", "checks"}
         assert all(set(c) == {"name", "pass", "detail"} for c in doc["checks"])
         assert doc["admissible"] is True
-        restored = report_from_json(doc)
+        restored = _report_from_json(doc)
         assert restored.genus == report.genus
         assert restored.admissible == report.admissible
 

@@ -1,0 +1,71 @@
+import ast
+import importlib
+import inspect
+import io
+import tokenize
+from pathlib import Path
+
+import flowtop
+
+# ``flowtop.homology`` is the function once the package is imported, so the
+# modules are looked up by their dotted names.
+MODULES = [importlib.import_module(f"flowtop.{name}")
+           for name in ("expressions", "flows", "homology", "simplicial", "snf")]
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestPublicSurface:
+    def test_all_is_the_sorted_union_of_the_modules(self):
+        union = set().union(*(module.__all__ for module in MODULES))
+        assert flowtop.__all__ == sorted(union)
+
+    def test_no_name_is_exported_by_two_modules(self):
+        owners = {}
+        for module in MODULES:
+            for name in module.__all__:
+                assert name not in owners, (name, owners.get(name), module.__name__)
+                owners[name] = module.__name__
+
+    def test_each_name_is_the_defining_modules_object(self):
+        for module in MODULES:
+            for name in module.__all__:
+                assert getattr(flowtop, name) is getattr(module, name), (module.__name__, name)
+
+    def test_every_public_function_and_class_is_exported(self):
+        for module in MODULES:
+            defined = {
+                name for name, obj in vars(module).items()
+                if not name.startswith("_")
+                and (inspect.isfunction(obj) or inspect.isclass(obj))
+                and obj.__module__ == module.__name__
+            }
+            assert defined - set(module.__all__) == set(), module.__name__
+
+
+def quickstart_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quickstart", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeQuickstart:
+    def test_commented_values_hold(self):
+        """Run the quickstart; an expression line's value has the repr that
+        its trailing comment shows."""
+        block = quickstart_block()
+        comments = {
+            tok.start[0]: tok.string[1:].strip()
+            for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+            if tok.type == tokenize.COMMENT
+        }
+        namespace = {}
+        checked = 0
+        for node in ast.parse(block).body:
+            if isinstance(node, ast.Expr) and node.lineno in comments:
+                value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+                assert repr(value) == comments[node.lineno], ast.unparse(node)
+                checked += 1
+            else:
+                exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+        assert checked >= 6
