@@ -15,9 +15,9 @@ index in 2..n-2 would give a pair of transversally crossing spheres with
 intersection number +1 or -1 that vanishing middle homology forces to 0),
 the Morse inequalities c_i >= beta_i, the count laws nu = 2g + k,
 mu = k + 2, the Euler characteristic, and, when connection data is
-given, the saddle-to-node connections (labels match the counts, no
-saddle-to-saddle edge, each saddle has the sinks and sources its index
-allows).
+given, the saddle-to-node connections (labels match the counts, every
+edge runs from a higher Morse index to a lower one, no saddle-to-saddle
+edge, each saddle has the sinks and sources its index allows).
 """
 
 from __future__ import annotations
@@ -196,9 +196,11 @@ def genus_of_counts(nu: int, mu: int) -> int:
     return s // 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _poincare(n: int, g: int) -> PoincarePolynomial:
-    """Betti numbers of the genus-g manifold, read sparsely: O(1) in n."""
+    """Betti numbers of the genus-g manifold, read sparsely: O(1) in n.
+    The cache is bounded: it need only keep one (n, g) hot across
+    :func:`enumerate_flows` and one CLI call."""
     return poincare_polynomial(s_ng(n, g))
 
 
@@ -376,6 +378,12 @@ def _check_connections(spec: FlowSpec) -> CheckResult:
         a, b = edge.source, edge.target
         if is_saddle(a) and is_saddle(b):
             problems.append(f"edge {a} -> {b} joins two saddles")
+        # A trajectory from a to b needs W^u(a) to meet W^s(b) transversally,
+        # so the Morse index strictly falls along it.
+        if idx[a] <= idx[b]:
+            problems.append(
+                f"edge {a} -> {b} runs against the flow: index {idx[a]} is not "
+                f"above index {idx[b]}")
         neighbours.setdefault(a, set()).add(b)
         neighbours.setdefault(b, set()).add(a)
     for name in sorted(idx):
@@ -400,7 +408,8 @@ def _check_connections(spec: FlowSpec) -> CheckResult:
     return CheckResult(
         "connections", True,
         "no index has more labelled equilibria than its count and every counted "
-        "saddle is labelled; no saddle-to-saddle edges; every saddle has one "
+        "saddle is labelled; every edge runs from a higher Morse index to a lower "
+        "one; no saddle-to-saddle edges; every saddle has one "
         "source and one sink, except that an index-1 saddle may have two sinks "
         "and an index-(n-1) saddle two sources")
 

@@ -15,8 +15,9 @@ were pivot rows of d_{i+1} are cleared: they are integer combinations of
 the columns kept, so they are never built.  Of the kept columns, most are
 emergent pairs: the lowest row of the column of s is the row of s[1:],
 with entry +1, so when no earlier column pivots there the column is a
-pivot as it stands.  It is built only if a later column subtracts it (see
-:func:`simplicial_homology`).
+pivot as it stands, and so, one subtraction deep, is a column that one
+emergent column reduces.  Such columns are built only if a later column
+subtracts them (see :func:`simplicial_homology`).
 
 Constructors cover triangulated spheres, polygons, products (staircase
 triangulation) and connected sums; together they triangulate any manifold
@@ -179,7 +180,8 @@ class SimplicialComplex:
 
 
 def _eliminate_unit_pivots(lows: Sequence[int | None],
-                           column: Callable[[int], dict[int, int]]
+                           column: Callable[[int], dict[int, int]],
+                           second: Callable[[int], int] | None = None
                            ) -> tuple[dict[int, int], IntegerMatrix]:
     """Split the +-1 pivots off a sparse integer matrix whose columns are
     built only when they are read.
@@ -202,9 +204,17 @@ def _eliminate_unit_pivots(lows: Sequence[int | None],
     becomes its pivot at once and is not built, since nothing would be
     subtracted from it.  It is built the first time a later column
     subtracts it, as it stands, for it is its own reduced column, and that
-    column is kept.  So each column is built at most once, and only if it
-    is reduced or subtracted; the pivots and residual are those of the
-    same reduction on columns all built up front.
+    column is kept.
+
+    One subtraction deep: ``second(c)``, when given, is the row of the
+    lowest entry, +-1, of c minus the emergent column p that pivots on
+    ``lows[c]``; p is emergent when ``lows[p] == lows[c]``.  If that row is
+    free, c pivots there unbuilt, as the reduction would after subtracting
+    p, and c - p is built the first time a later column subtracts it.
+    Only one step is taken: following the chain further built fewer
+    columns but cost more than it saved.  So each column is built at most
+    once, and the pivots and residual are those of the same reduction on
+    columns all built up front.
 
     The columns whose lowest entry is not +-1 (few in practice) then have
     their pivot rows cleared, highest row first, which leaves them zero on
@@ -223,12 +233,20 @@ def _eliminate_unit_pivots(lows: Sequence[int | None],
     the original rows).
     """
     pivot_of: dict[int, int] = {}  # pivot row -> its column
-    built = _Built(column)  # pivot column -> its reduced column, once read
+    # pivot column -> its reduced column, once read
+    built = _Built(column, lows, pivot_of)
     rest: list[dict[int, int]] = []
     for c, low in enumerate(lows):
-        if low is not None and low not in pivot_of:
-            pivot_of[low] = c  # emergent pair
-            continue
+        if low is not None:
+            p = pivot_of.get(low)
+            if p is None:
+                pivot_of[low] = c  # emergent pair
+                continue
+            if second is not None and lows[p] == low:
+                row = second(c)
+                if row not in pivot_of:
+                    pivot_of[row] = c  # paired one subtraction deep
+                    continue
         col = column(c)
         heap = [-r for r in col]
         heapify(heap)
@@ -261,16 +279,27 @@ def _eliminate_unit_pivots(lows: Sequence[int | None],
 
 
 class _Built(dict):
-    """Columns by index, each built by ``column`` the first time it is read."""
+    """Reduced pivot columns, each built by ``column`` the first time it is
+    read: an emergent column as it stands, a column paired one subtraction
+    deep minus its emergent partner."""
 
-    __slots__ = ("column",)
+    __slots__ = ("column", "lows", "pivot_of")
 
-    def __init__(self, column: Callable[[int], dict[int, int]]):
+    def __init__(self, column: Callable[[int], dict[int, int]],
+                 lows: Sequence[int | None], pivot_of: dict[int, int]):
         super().__init__()
         self.column = column
+        self.lows = lows
+        self.pivot_of = pivot_of
 
     def __missing__(self, c: int) -> dict[int, int]:
-        col = self[c] = self.column(c)
+        col = self.column(c)
+        low = self.lows[c]
+        p = self.pivot_of[low]
+        if p != c:
+            pivot = self[p]
+            _subtract(col, pivot, col[low] * pivot[low], [])
+        self[c] = col
         return col
 
 
@@ -303,8 +332,15 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     largest face of s is s[1:], since it alone does not start with v0, and
     its sign is (-1)^0 = +1.  So a column whose lowest row is not yet a
     pivot row is paired on the spot, with nothing subtracted, and its
-    boundary is built only if a later column subtracts it.  Only the
-    columns that have to be reduced are built when they are reached.
+    boundary is built only if a later column subtracts it.
+
+    One subtraction deep: if the row of s[1:] is taken, its pivot p is
+    emergent (the first kept column touching that row is (u, s[1:]) for
+    the least u), so p = (u, v1, ..., vi) with u < v0.  Then c - p has its
+    lowest entry, -1, at the row of s[:1] + s[2:]: the s[1:] entries
+    cancel, the other faces of s start with v0 and lie below it, and the
+    other faces of p start with u.  When that row is free, c is paired
+    there, and c and p are built only if a later column reads c.
 
     Clearing: the columns of d_i whose i-simplices were pivot rows of
     d_{i+1} are left out.  Each pivot of d_{i+1} has a reduced column
@@ -324,7 +360,8 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
         face_row, boundary = K._boundary_of(i)
         kept = [s for r, s in enumerate(K._simplices[i]) if r not in pivots]
         lows = list(map(face_row, map(itemgetter(slice(1, None)), kept)))
-        pivots, residual = _eliminate_unit_pivots(lows, lambda c: boundary(kept[c]))
+        pivots, residual = _eliminate_unit_pivots(
+            lows, lambda c: boundary(kept[c]), lambda c: face_row(kept[c][:1] + kept[c][2:]))
         diag = smith_diagonal(residual)
         rank_d[i] = len(pivots) + sum(1 for x in diag if x)
         factors = tuple(x for x in diag if x > 1)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flowtop import flows
 from flowtop.flows import (
     Connection,
     FlowSpec,
@@ -243,6 +244,32 @@ class TestConnections:
         assert report.admissible
         assert report.check("connections").passed
 
+    def test_reversed_dumbbell_fails_on_every_edge(self):
+        # The dumbbell with every edge against the flow: a trajectory runs
+        # from a higher Morse index to a lower one, never up.
+        spec = flow_spec_from_json({
+            "n": 4, "counts": [2, 1, 0, 0, 1],
+            "connections": [{"from": "a1", "to": "s"}, {"from": "a2", "to": "s"},
+                            {"from": "s", "to": "r"}],
+            "indices": {"a1": 0, "a2": 0, "s": 1, "r": 4}})
+        report = validate_flow(spec)
+        assert not report.admissible
+        connections = report.check("connections")
+        assert not connections.passed
+        for edge, ia, ib in [("a1 -> s", 0, 1), ("a2 -> s", 0, 1), ("s -> r", 1, 4)]:
+            assert (f"edge {edge} runs against the flow: index {ia} is not above "
+                    f"index {ib}") in connections.detail
+        # the neighbour sets are unchanged, so only the direction fails
+        assert "must connect" not in connections.detail
+
+    def test_edge_between_equal_indices_runs_against_the_flow(self):
+        spec = FlowSpec(4, (1, 1, 0, 1, 1),
+                        connections=GOOD_CONNECTIONS["connections"] + (Connection("s", "t"),),
+                        indices={**GOOD_CONNECTIONS["indices"], "t": 1})
+        detail = validate_flow(spec).check("connections").detail
+        assert "edge s -> t joins two saddles" in detail
+        assert "edge s -> t runs against the flow: index 1 is not above index 1" in detail
+
     @pytest.mark.parametrize("n, counts, edges, indices, failure", [
         # index n-1 mirrors index 1: one sink and one or two sources
         (4, (1, 0, 0, 1, 2), ["w1 r", "w2 r", "r a"], {"a": 0, "r": 3, "w1": 4, "w2": 4},
@@ -481,3 +508,12 @@ class TestJson:
             counts[n] = max(counts[n], 1)
             report = validate_flow(FlowSpec(n, tuple(counts)))
             assert report.admissible == all(c.passed for c in report.checks)
+
+
+class TestPoincareCache:
+    def test_distinct_genera_leave_the_cache_at_its_bound(self):
+        bound = flows._poincare.cache_info().maxsize
+        assert bound == 1024
+        for g in range(3 * bound):
+            obstruction_check(5, 2, g)
+        assert flows._poincare.cache_info().currsize == bound

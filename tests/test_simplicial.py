@@ -443,6 +443,25 @@ def rp2_products_and_sums():
             product_complex(rp2, boundary_sphere_complex(2))]
 
 
+def record_builds(monkeypatch, dim):
+    """Patch SimplicialComplex._boundary_of to record, per degree 1..dim,
+    every simplex whose boundary column is built."""
+    built = {i: [] for i in range(1, dim + 1)}
+    boundary_of = SimplicialComplex._boundary_of
+
+    def counting(self, i):
+        face_row, column = boundary_of(self, i)
+
+        def build(simplex):
+            built[i].append(simplex)
+            return column(simplex)
+
+        return face_row, build
+
+    monkeypatch.setattr(SimplicialComplex, "_boundary_of", counting)
+    return built
+
+
 class TestClearing:
     @pytest.mark.parametrize("seed", [5, 17, 41])
     def test_torsion_complexes_under_permutation_match_no_clearing(self, seed):
@@ -472,19 +491,7 @@ class TestClearing:
                              + [triangulate(parse_manifold("S2 x S1 x S1")),
                                 triangulate(parse_manifold("Sng(5,2)"))])
     def test_cleared_columns_are_never_built(self, K, monkeypatch):
-        built = {i: [] for i in range(1, K.dim + 1)}
-        boundary_of = SimplicialComplex._boundary_of
-
-        def counting(self, i):
-            face_row, column = boundary_of(self, i)
-
-            def build(simplex):
-                built[i].append(simplex)
-                return column(simplex)
-
-            return face_row, build
-
-        monkeypatch.setattr(SimplicialComplex, "_boundary_of", counting)
+        built = record_builds(monkeypatch, K.dim)
         assert simplicial_homology(K) == homology_without_clearing(K)
         kept = kept_columns(K)
         # d_i builds only columns of i-simplices that were not pivot rows of
@@ -679,6 +686,82 @@ class TestEmergentPairs:
             assert len(set(built_lazily)) == len(built_lazily)
             skipped += len(columns) - len(built_lazily)
         assert skipped > 0
+
+    def test_one_subtraction_deep_builds_neither_column(self):
+        # Column 0 pairs with row 3 on the spot.  Column 1's lowest row is
+        # 3 too, and column 1 - column 0 = {0: -1, 2: -1} has its lowest
+        # entry on the free row 2, so column 1 pairs there unbuilt.
+        columns = [{0: 1, 3: 1}, {2: -1, 3: 1}]
+        column, built = counted(columns)
+        pivots, residual = _eliminate_unit_pivots([3, 3], column, {1: 2}.__getitem__)
+        assert pivots == {3: 0, 2: 1}
+        assert built == []
+        assert residual.shape == (0, 0)
+
+    def test_a_later_column_subtracts_column_minus_partner(self):
+        # Column 2's lowest row is 2, column 1's pivot: column 1 is built
+        # then, as column 1 - column 0, which builds column 0.  Column 1 is
+        # not emergent, so column 2's second row is never asked for.
+        columns = [{0: 1, 3: 1}, {2: -1, 3: 1}, {1: 1, 2: 1}]
+        column, built = counted([dict(c) for c in columns])
+        pivots, residual = _eliminate_unit_pivots([3, 3, 2], column, {1: 2}.__getitem__)
+        assert built == [2, 1, 0]
+        got = [column(c) for c in range(3)]
+        assert got[1] == {0: -1, 2: -1}  # exactly column 1 - column 0
+        assert got[0] == columns[0]
+        assert got[2] == {0: -1, 1: 1}  # column 2 + (column 1 - column 0)
+        assert pivots == {3: 0, 2: 1, 1: 2}
+        # the reduction on every column built up front: the same split
+        eager, _ = counted([dict(c) for c in columns])
+        assert (pivots, residual) == _eliminate_unit_pivots([None] * 3, eager)
+        assert dense_factors(columns, 4) == [1, 1, 1]
+
+    def test_a_taken_second_row_is_reduced_as_before(self):
+        # column 2's second row, 2, is column 1's pivot: column 2 is built
+        # and reduced on the spot
+        columns = [{0: 1, 3: 1}, {1: 1, 2: 1}, {1: 1, 2: -1, 3: 1}]
+        column, built = counted([dict(c) for c in columns])
+        pivots, residual = _eliminate_unit_pivots([3, 2, 3], column, {2: 2}.__getitem__)
+        assert built == [2, 0, 1]
+        eager, _ = counted([dict(c) for c in columns])
+        assert (pivots, residual) == _eliminate_unit_pivots([None] * 3, eager)
+
+    @pytest.mark.parametrize("text, at_most", [
+        ("S2 x S1 x S1", 576), ("Sng(5,2)", 195), ("S3 x S2", 273)])
+    def test_built_columns_are_counted(self, text, at_most, monkeypatch):
+        # with emergent pairs alone S2 x S1 x S1 builds 788 columns, Sng(5,2)
+        # 295 and S3 x S2 353
+        K = triangulate(parse_manifold(text))
+        built = record_builds(monkeypatch, K.dim)
+        assert simplicial_homology(K) == homology(parse_manifold(text))
+        for simplices in built.values():
+            assert len(set(simplices)) == len(simplices)
+        assert sum(map(len, built.values())) <= at_most
+
+    @pytest.mark.parametrize("K", [
+        *(pytest.param(permuted(K, random.Random(seed)), id=f"{name}-seed{seed}")
+          for seed in (7, 19, 33)
+          for name, K in zip(["RP2xRP2", "RP2#RP2", "RP2xS2"], rp2_products_and_sums())),
+        *(pytest.param(triangulate(parse_manifold(t)), id=t)
+          for t in ("Sng(5,2)", "S2 x S1 x S1", "S3 x S2"))])
+    def test_the_shortcut_changes_only_what_is_built(self, K, monkeypatch):
+        got = []
+
+        def recording(lows, column, second=None):
+            got.append(_eliminate_unit_pivots(lows, column, second))
+            return got[-1]
+
+        monkeypatch.setattr(simplicial, "_eliminate_unit_pivots", recording)
+        simplicial_homology(K)
+        # every kept column built up front, no pair taken unbuilt, and the
+        # clearing of kept_columns
+        cleared = set()
+        for i, result in zip(range(K.dim, 0, -1), got, strict=True):
+            columns = full_boundary_columns(K, i)
+            kept = [columns[c] for c in range(len(columns)) if c not in cleared]
+            want = _eliminate_unit_pivots([None] * len(kept), kept.__getitem__)
+            assert result == want, i
+            cleared = set(want[0])
 
     def test_a_column_never_subtracted_is_never_built(self):
         # columns 0 and 1 pair with rows 3 and 2 on the spot; column 2 is
