@@ -236,12 +236,12 @@ def obstruction_check(n: int, i: int, g: int) -> ObstructionResult:
                 f"spheres are null-homologous (beta_{i} = beta_{n - i} = 0), which "
                 "forces intersection number 0"),
         )
-    if i in (1, n - 1):
+    if n == 3:
+        reason = "the middle index range 2..n-2 is empty in dimension 3"
+    elif i in (1, n - 1):
         reason = f"Morse index {i} lies outside the excluded middle range 2..{n - 2}"
     else:
         reason = f"middle homology does not vanish (beta_{i} = {beta(i)}, beta_{n - i} = {beta(n - i)})"
-    if n == 3:
-        reason = "the middle index range 2..n-2 is empty in dimension 3"
     return ObstructionResult(admissible=True, reason=reason)
 
 
@@ -260,34 +260,27 @@ def validate_flow(spec: FlowSpec) -> ValidationReport:
     c = spec.counts
     nu = spec.saddle_count
     mu = spec.node_count
-    checks: list[CheckResult] = []
-
-    g: int | None = None
+    # The count laws hold whenever the genus is defined: FlowSpec forces
+    # c_0, c_n >= 1, so k = mu - 2 >= 0, and nu = 2g + k is the genus
+    # formula rearranged.
     try:
         g = genus_of_counts(nu, mu)
-        checks.append(CheckResult(
-            "genus", True, f"g = {g} from (nu, mu) = ({nu}, {mu})"))
     except GenusError as exc:
-        checks.append(CheckResult("genus", False, str(exc)))
-
-    checks.append(_check_index_restriction(n, c, g))
-    checks.append(_check_morse(spec, g))
-
-    k: int | None = None
-    if g is not None:
-        k = mu - 2
-        ok = k >= 0 and nu == 2 * g + k
-        checks.append(CheckResult(
-            "count_laws", ok,
-            f"k = mu - 2 = {k}: nu = {nu} = 2g + k = {2 * g + k}, mu = {mu} = k + 2"))
-    else:
-        checks.append(CheckResult(
+        g = k = None
+        genus = CheckResult("genus", False, str(exc))
+        laws = CheckResult(
             "count_laws", False,
             f"no integers g >= 0, k >= 0 satisfy nu = 2g + k and mu = k + 2 "
-            f"for (nu, mu) = ({nu}, {mu})"))
+            f"for (nu, mu) = ({nu}, {mu})")
+    else:
+        k = mu - 2
+        genus = CheckResult("genus", True, f"g = {g} from (nu, mu) = ({nu}, {mu})")
+        laws = CheckResult(
+            "count_laws", True,
+            f"k = mu - 2 = {k}: nu = {nu} = 2g + k = {2 * g + k}, mu = {mu} = k + 2")
 
-    checks.append(_check_euler(n, c, g))
-
+    checks = [genus, _check_index_restriction(n, c, g), _check_morse(spec, g), laws,
+              _check_euler(n, c, g)]
     if spec.connections is not None:
         checks.append(_check_connections(spec))
 
@@ -314,23 +307,19 @@ def _check_index_restriction(n: int, c: tuple[int, ...], g: int | None) -> Check
 
 def _check_morse(spec: FlowSpec, g: int | None) -> CheckResult:
     if g is None:
-        violations = check_morse_inequalities(spec, 0)
-        prefix = ("genus undefined; checked only the genus-independent bounds "
-                  "(Betti numbers of the genus-0 manifold)")
-        if violations:
-            detail = prefix + ": " + _morse_detail(violations)
-            return CheckResult("morse_inequalities", False, detail)
-        return CheckResult("morse_inequalities", True, prefix)
+        # The genus-0 manifold is the sphere, whose bounds c_0, c_n >= 1
+        # FlowSpec already enforces.
+        return CheckResult(
+            "morse_inequalities", True,
+            "genus undefined; checked only the genus-independent bounds "
+            "(Betti numbers of the genus-0 manifold)")
     violations = check_morse_inequalities(spec, g)
     if violations:
-        return CheckResult("morse_inequalities", False, _morse_detail(violations))
+        return CheckResult("morse_inequalities", False, "; ".join(
+            f"c_{i} = {c} < beta_{i} = {b}" for i, c, b in violations))
     return CheckResult(
         "morse_inequalities", True,
         f"c_i >= beta_i of the genus-{g} manifold for all 0 <= i <= {spec.n}")
-
-
-def _morse_detail(violations: list[tuple[int, int, int]]) -> str:
-    return "; ".join(f"c_{i} = {c} < beta_{i} = {b}" for i, c, b in violations)
 
 
 def _check_euler(n: int, c: tuple[int, ...], g: int | None) -> CheckResult:
@@ -511,16 +500,3 @@ def report_to_json(report: ValidationReport) -> dict:
         ],
     }
 
-
-def _report_from_json(data: Any) -> ValidationReport:
-    """Inverse of report_to_json, used to round-trip emitted documents."""
-    if not isinstance(data, dict):
-        raise ValueError("validation report must be a JSON object")
-    checks = tuple(
-        CheckResult(entry["name"], bool(entry["pass"]), entry.get("detail", ""))
-        for entry in data["checks"]
-    )
-    report = ValidationReport(genus=data["genus"], k=data["k"], checks=checks)
-    if report.admissible != data["admissible"]:
-        raise ValueError("admissible flag does not match the conjunction of checks")
-    return report

@@ -1,23 +1,26 @@
 """Exact integer matrices and Smith normal form.
 
 All arithmetic uses Python integers, so entries may grow freely during
-elimination without overflow.  One pivot rule: the pivot is a nonzero
-entry of least absolute value, first of the trailing submatrix, then of the
-remainders that Euclidean steps leave in its column (cleared first) or row;
-it is moved to the diagonal and made positive in one place.  Divisibility
-violations are repaired by adding the offending row to the pivot row.
-Keeping the pivot minimal bounds the intermediate coefficient growth well
-enough for the matrix sizes this package meets, with no modular techniques.
+elimination without overflow.  One pivot rule: every pivot is a nonzero
+entry of least absolute value in the trailing submatrix, moved to the
+diagonal and made positive.  Euclidean steps clear its column, then its
+row; a divisibility violation is repaired by adding the offending row to
+the pivot row, whose row step then leaves a remainder.  A remainder lies in
+[1, pivot) inside the trailing submatrix, so the next search finds a
+strictly smaller pivot, and the elimination ends.  Keeping the pivot minimal bounds the
+intermediate coefficient growth well enough for the matrix sizes this
+package meets, with no modular techniques.
 There is one elimination: :func:`smith_diagonal` runs it on A alone, and
 :func:`smith_normal_form` runs it on the augmented matrix [[A, I], [I, 0]],
 where the identity blocks become the transforms U and V (Cohen, *A Course
 in Computational Algebraic Number Theory*, 1993, section 2.4).
 
-Entries, row indices and sizes are checked at the public constructors,
-``IntegerMatrix(rows, ncols)`` and :meth:`IntegerMatrix.from_columns`.  The
-package's own columns that are valid by construction (boundary matrices and
-the residual of unit-pivot elimination) are adopted unchecked and uncopied
-through the private ``IntegerMatrix._of``.
+Entries and row indices are checked in one place,
+:meth:`IntegerMatrix.from_columns`; ``IntegerMatrix(rows, ncols)`` checks
+only its shape and passes its columns there.  The package's own columns that are
+valid by construction (boundary matrices and the residual of unit-pivot
+elimination) are adopted unchecked and uncopied through the private
+``IntegerMatrix._of``.
 """
 
 from __future__ import annotations
@@ -29,11 +32,6 @@ __all__ = [
     "smith_diagonal",
     "smith_normal_form",
 ]
-
-
-def _check_entry(x) -> None:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise TypeError(f"matrix entries must be integers, got {x!r}")
 
 
 def _check_size(name: str, n) -> None:
@@ -49,8 +47,10 @@ class IntegerMatrix:
     Column j is a dict from row index to nonzero entry.  Zeros are never
     stored, so checking, comparing and multiplying a matrix built by
     :meth:`from_columns` costs O(nonzeros), not O(rows x columns).  Both
-    public constructors check every entry and row index; only ``_of``,
-    for columns the package builds valid, skips the check.
+    public constructors check every entry and row index: the row
+    constructor checks its shape and passes its columns to
+    :meth:`from_columns`.  Only ``_of``, for columns the package builds
+    valid, skips the check.
     """
 
     __slots__ = ("_cols", "_nrows")
@@ -59,25 +59,16 @@ class IntegerMatrix:
         if ncols is not None:
             _check_size("ncols", ncols)
         data = [list(row) for row in rows]
-        if data:
-            width = len(data[0])
-            if ncols is not None and ncols != width:
-                raise ValueError(f"ncols = {ncols} does not match row length {width}")
-        else:
-            if ncols is None:
+        if ncols is None:
+            if not data:
                 raise ValueError("a matrix with no rows needs an explicit ncols")
-            width = ncols
-        cols: list[dict[int, int]] = [{} for _ in range(width)]
-        for i, row in enumerate(data):
-            if len(row) != width:
-                raise ValueError("all rows must have the same length")
-            for j, x in enumerate(row):
-                if type(x) is not int:
-                    _check_entry(x)
-                if x:
-                    cols[j][i] = x
-        self._cols = cols
-        self._nrows = len(data)
+            ncols = len(data[0])
+        if any(len(row) != ncols for row in data):
+            raise ValueError(f"every row must have length {ncols}")
+        columns = map(dict, map(enumerate, zip(*data))) if data else [{}] * ncols
+        checked = self.from_columns(columns, len(data))
+        self._cols = checked._cols
+        self._nrows = checked._nrows
 
     @classmethod
     def from_columns(cls, columns: Iterable[Mapping[int, int]], nrows: int) -> "IntegerMatrix":
@@ -92,12 +83,12 @@ class IntegerMatrix:
         for column in columns:
             col = {}
             for r, x in column.items():
-                if type(r) is not int and (not isinstance(r, int) or isinstance(r, bool)):
+                if not isinstance(r, int) or isinstance(r, bool):
                     raise TypeError(f"row indices must be integers, got {r!r}")
                 if not 0 <= r < nrows:
                     raise ValueError(f"row index {r} is outside 0..{nrows - 1}")
-                if type(x) is not int:
-                    _check_entry(x)
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise TypeError(f"matrix entries must be integers, got {x!r}")
                 if x:
                     col[r] = x
             cols.append(col)
@@ -230,30 +221,26 @@ def _smith(d: list[list[int]], m: int, n: int) -> None:
     block record the column operations and the columns to its right record
     the row operations (see :func:`smith_normal_form`).
     """
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        # Minimal |entry| pivot in the trailing submatrix; 1 is always optimal.
-        best = 0
-        bi = bj = -1
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                e = row[j]
-                if e:
-                    if e < 0:
-                        e = -e
-                    if best == 0 or e < best:
-                        best, bi, bj = e, i, j
-                        if e == 1:
-                            break
-            if best == 1:
-                break
-        if best == 0:
-            break
-
+    for t in range(min(m, n)):
         while True:
-            # The one place a pivot is placed: (bi, bj) moves to (t, t), positive.
+            # The one pivot rule: a least nonzero |entry| of the trailing
+            # block, moved to (t, t) and made positive; 1 is always least.
+            best = 0
+            for i in range(t, m):
+                row = d[i]
+                for j in range(t, n):
+                    e = row[j]
+                    if e:
+                        if e < 0:
+                            e = -e
+                        if best == 0 or e < best:
+                            best, bi, bj = e, i, j
+                            if e == 1:
+                                break
+                if best == 1:
+                    break
+            if best == 0:
+                return
             if bi != t:
                 d[t], d[bi] = d[bi], d[t]
             if bj != t:
@@ -262,34 +249,25 @@ def _smith(d: list[list[int]], m: int, n: int) -> None:
             if d[t][t] < 0:
                 d[t] = [-x for x in d[t]]
             pivot = d[t][t]
-            # Euclidean steps down the column, then along the row.  Floor
-            # division leaves remainders in [0, pivot), so the smallest one
-            # left over is a strictly smaller next pivot.
+            # Euclidean steps down the column, then along the row.  A
+            # remainder left in [1, pivot) sends the loop back to the search,
+            # which then finds a strictly smaller pivot.
             row_t = d[t]
-            rest = []
             for i in range(t + 1, m):
-                if d[i][t]:
-                    if q := d[i][t] // pivot:
-                        d[i] = [x - q * y for x, y in zip(d[i], row_t)]
-                    if d[i][t]:
-                        rest.append(i)
-            if rest:
-                bi, bj = min(rest, key=lambda i: d[i][t]), t
+                if d[i][t] and (q := d[i][t] // pivot):
+                    d[i] = [x - q * y for x, y in zip(d[i], row_t)]
+            if any(d[i][t] for i in range(t + 1, m)):
                 continue
-            rest = []
             for j in range(t + 1, n):
-                if row_t[j]:
-                    if q := row_t[j] // pivot:
-                        for row in d:
-                            if row[t]:
-                                row[j] -= q * row[t]
-                    if row_t[j]:
-                        rest.append(j)
-            if rest:
-                bi, bj = t, min(rest, key=row_t.__getitem__)
+                if row_t[j] and (q := row_t[j] // pivot):
+                    for row in d:
+                        if row[t]:
+                            row[j] -= q * row[t]
+            if any(row_t[t + 1:n]):
                 continue
             # The pivot must divide everything in the trailing submatrix;
-            # otherwise add the first offending row to the pivot row.
+            # otherwise add the first offending row to the pivot row, whose
+            # row step then leaves a remainder.
             offender = None
             if pivot != 1:
                 offender = next((i for i in range(t + 1, m)
@@ -297,8 +275,6 @@ def _smith(d: list[list[int]], m: int, n: int) -> None:
             if offender is None:
                 break
             d[t] = [x + y for x, y in zip(row_t, d[offender])]
-            bi = bj = t
-        t += 1
 
 
 def smith_normal_form(A: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:

@@ -319,6 +319,23 @@ class TestCrosscheckCommand:
         assert rows[1]["match"] is False
         assert rows[1]["oracle_torsion"] == [2]
 
+    def test_oracle_torsion_in_the_output(self, capsys, monkeypatch):
+        monkeypatch.setattr(flowtop.cli, "simplicial_homology",
+                            lambda complex_: GradedGroup({0: 1, 2: 1}, {1: (2,)}))
+        code, out, _ = run(capsys, "crosscheck", "S2", "--format", "human")
+        assert code == 1
+        assert out.splitlines() == [
+            "degree 0: MATCH (engine=1, oracle=1)",
+            "degree 1: MISMATCH (engine=0, oracle=0) torsion=[2]",
+            "degree 2: MATCH (engine=1, oracle=1)",
+            "overall: MISMATCH",
+        ]
+        code, out, _ = run(capsys, "crosscheck", "S2", "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["match"] is False
+        assert [row.get("oracle_torsion") for row in doc["degrees"]] == [None, [2], None]
+
 
 class TestCachedParser:
     def test_no_option_carries_over(self, capsys):

@@ -136,6 +136,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SphereAtom(-3)
 
+    @pytest.mark.parametrize("k", ["3", 3.0, True, None])
+    def test_sphere_rejects_non_int_dimension(self, k):
+        with pytest.raises(TypeError):
+            SphereAtom(k)
+
     def test_connsum_rejects_mixed_dimensions(self):
         with pytest.raises(DimensionMismatchError):
             ConnSum((S2, S3))

@@ -44,6 +44,13 @@ class TestGradedGroup:
         with pytest.raises(ValueError):
             GradedGroup({0: -1})
 
+    @pytest.mark.parametrize("degree", [-1, 1.0, "1", True, None])
+    def test_bad_degree_rejected(self, degree):
+        with pytest.raises(ValueError):
+            GradedGroup({0: 1, degree: 1})
+        with pytest.raises(ValueError):
+            GradedGroup({0: 1}, {degree: (2,)})
+
     def test_torsion_chain_enforced(self):
         g = GradedGroup({0: 1}, {1: (2, 4)})
         assert g.invariant_factors(1) == (2, 4)
@@ -191,6 +198,8 @@ class TestConnectedSumPoly:
             connected_sum_poly([PoincarePolynomial([2, 0, 0, 0, 1])], 4)
         with pytest.raises(ValueError):
             connected_sum_poly([], 4)
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            connected_sum_poly([PoincarePolynomial([1])], 0)
 
 
 class TestBetti:

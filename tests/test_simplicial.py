@@ -112,6 +112,8 @@ class TestConstruction:
             SimplicialComplex(["a", "b"], [["a", "a"]])
         with pytest.raises(ValueError):
             SimplicialComplex(["a"], [])
+        with pytest.raises(ValueError, match="empty facet"):
+            SimplicialComplex(["a", "b"], [["a", "b"], []])
 
 
 class TestSphereAndCircle:
@@ -997,6 +999,9 @@ class TestJson:
         {"vertices": [1, 2], "facets": [[1, {"a": 2}]]},
         {"vertices": [{}], "facets": [[0]]},
         {"vertices": ["a", 1, "c"], "facets": [["a", True], [1.0, "c"], ["c", "a"]]},
+        {"vertices": [1], "facets": [1]},
+        {"vertices": [1, 2], "facets": [[1, 2], "12"]},
+        {"vertices": [1, 2], "facets": [[]]},
     ])
     def test_malformed_documents(self, doc):
         with pytest.raises(ValueError):

@@ -53,6 +53,14 @@ class TestIntegerMatrix:
         with pytest.raises(ValueError):
             IntegerMatrix([])
 
+    def test_shape_refusals(self):
+        for rows, ncols in [([[1], [2, 3]], None), ([[1, 2], [3]], 2),
+                            ([[1, 2]], 3), ([[1, 2], [3, 4]], 1), ([], -1)]:
+            with pytest.raises(ValueError):
+                IntegerMatrix(rows, ncols=ncols)
+        with pytest.raises(ValueError):
+            IntegerMatrix.from_columns([], -1)
+
     def test_empty_needs_explicit_ncols(self):
         A = IntegerMatrix([], ncols=3)
         assert A.shape == (0, 3)
@@ -70,6 +78,9 @@ class TestIntegerMatrix:
         assert IntegerMatrix([[2, 0], [0, 3]]).determinant() == 6
         assert IntegerMatrix([[0, 1], [1, 0]]).determinant() == -1
         assert IntegerMatrix([[1, 2], [2, 4]]).determinant() == 0
+        assert IntegerMatrix.zeros(0, 0).determinant() == 1
+        # a zero column below the pivot: no row swap can help
+        assert IntegerMatrix([[0, 1], [0, 2]]).determinant() == 0
         with pytest.raises(ValueError):
             IntegerMatrix([[1, 2, 3]]).determinant()
 
@@ -208,7 +219,8 @@ class TestSmithNormalForm:
 
     def test_property_suite_without_unit_entries(self):
         # The residual shape the oracle sends here: no entry is +-1, so the
-        # column and row re-picks and the divisibility repair all run.
+        # remainders left in the column and in the row and the divisibility
+        # repair all send the elimination back to its one pivot search.
         rng = random.Random(20261018)
         values = [0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9, 12, -12]
         for _ in range(150):
