@@ -18,7 +18,7 @@ from typing import Any
 
 from .expressions import parse_manifold
 from .flows import (
-    enumerate_flows,
+    _admissible_counts,
     flow_spec_from_json,
     obstruction_check,
     report_to_json,
@@ -86,8 +86,9 @@ def _cmd_homology(args) -> int:
 
 def _cmd_poincare(args) -> int:
     poly = poincare_polynomial(parse_manifold(args.expr))
-    payload = {"coefficients": list(poly.coefficients), "pretty": str(poly)}
-    _emit(args, [payload], [f"p(t) = {poly}"])
+    # a generator, so the dense coefficient list is built in JSON mode only
+    payloads = ({"coefficients": list(p.coefficients), "pretty": str(p)} for p in (poly,))
+    _emit(args, payloads, [f"p(t) = {poly}"])
     return 0
 
 
@@ -109,8 +110,8 @@ def _cmd_check_flow(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    vectors = enumerate_flows(args.n, args.g, args.k_max)
-    rows = ((list(c), c[0] + c[args.n] - 2) for c in vectors)
+    rows = ((list(c), c[0] + c[args.n] - 2)
+            for c in _admissible_counts(args.n, args.g, args.k_max))
     # two views of one generator: _emit consumes only one of them
     _emit(args, ({"c": c, "k": k} for c, k in rows),
           (f"c = {c}  k = {k}" for c, k in rows))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .expressions import s_ng
 from .homology import PoincarePolynomial, poincare_polynomial
@@ -225,22 +225,22 @@ def obstruction_check(n: int, i: int, g: int) -> ObstructionResult:
         raise ValueError(f"genus must be a non-negative integer, got {g!r}")
     if not _is_int(i) or not 1 <= i <= n - 1:
         raise ValueError(f"Morse index must lie in 1..{n - 1}, got {i!r}")
-    beta = _poincare(n, g).coefficient
-    if 2 <= i <= n - 2 and beta(i) == 0 and beta(n - i) == 0:
-        return ObstructionResult(
-            admissible=False,
-            reason=(
-                f"closures of the invariant manifolds of an index-{i} saddle are "
-                f"spheres of dimensions {i} and {n - i} crossing transversally in a "
-                "single point, so their intersection number is +1 or -1; but both "
-                f"spheres are null-homologous (beta_{i} = beta_{n - i} = 0), which "
-                "forces intersection number 0"),
-        )
     if n == 3:
         reason = "the middle index range 2..n-2 is empty in dimension 3"
     elif i in (1, n - 1):
         reason = f"Morse index {i} lies outside the excluded middle range 2..{n - 2}"
     else:
+        beta = _poincare(n, g).coefficient
+        if beta(i) == 0 and beta(n - i) == 0:
+            return ObstructionResult(
+                admissible=False,
+                reason=(
+                    f"closures of the invariant manifolds of an index-{i} saddle are "
+                    f"spheres of dimensions {i} and {n - i} crossing transversally in a "
+                    "single point, so their intersection number is +1 or -1; but both "
+                    f"spheres are null-homologous (beta_{i} = beta_{n - i} = 0), which "
+                    "forces intersection number 0"),
+            )
         reason = f"middle homology does not vanish (beta_{i} = {beta(i)}, beta_{n - i} = {beta(n - i)})"
     return ObstructionResult(admissible=True, reason=reason)
 
@@ -403,6 +403,24 @@ def _check_connections(spec: FlowSpec) -> CheckResult:
         "and an index-(n-1) saddle two sources")
 
 
+def _admissible_counts(n: int, g: int, k_max: int) -> Iterator[tuple[int, ...]]:
+    """The vectors of :func:`enumerate_flows`, yielded lazily in lexicographic
+    order; the argument checks run at the first ``next``."""
+    if not _is_int(n) or n < 4:
+        raise ValueError(f"enumeration needs dimension >= 4, got {n!r}")
+    if not _is_int(g) or g < 0:
+        raise ValueError(f"genus must be a non-negative integer, got {g!r}")
+    if not _is_int(k_max) or k_max < 0:
+        raise ValueError(f"k_max must be a non-negative integer, got {k_max!r}")
+    middle = (0,) * (n - 3)
+    for c0 in range(1, k_max + 2):
+        # Euler: odd n leaves the one c_1 that makes 2(c_0 - c_1 + g - 1) vanish.
+        for c1 in range(g, g + k_max + 1) if n % 2 == 0 else (c0 + g - 1,):
+            # c_n = k + 2 - c_0 >= 1 and c_{n-1} = 2g + k - c_1 >= g
+            for k in range(max(c0 - 1, c1 - g), k_max + 1):
+                yield (c0, c1, *middle, 2 * g + k - c1, k + 2 - c0)
+
+
 def enumerate_flows(n: int, g: int, k_max: int) -> list[tuple[int, ...]]:
     """All admissible count vectors with middle entries zero, for any k <= k_max.
 
@@ -411,26 +429,19 @@ def enumerate_flows(n: int, g: int, k_max: int) -> list[tuple[int, ...]]:
     pass validate_flow.  They are combinatorially admissible: no claim is
     made that each one is realized by an actual flow.  Output is sorted
     lexicographically.
+
+    They are written down in closed form, not filtered.  A vector is fixed
+    by (c_0, c_1, c_{n-1}), since k = c_1 + c_{n-1} - 2g and
+    c_n = k + 2 - c_0, so looping over c_0, then c_1, then k yields them in
+    lexicographic order.  The genus, index-restriction, Morse and count-law
+    checks hold by construction.  The Euler check keeps every vector when n
+    is even (the alternating sum is (k + 2) - (2g + k) = 2 - 2g).  When n is
+    odd the alternating sum is 2(c_0 - c_1 + g - 1) and must be 0, so only
+    c_1 = c_0 + g - 1 survives: k + 1 vectors for each k.  Acceptance
+    criterion 5 and ``test_matches_brute_force`` still compare this list
+    against validate_flow on every bounded candidate.
     """
-    if not _is_int(n) or n < 4:
-        raise ValueError(f"enumeration needs dimension >= 4, got {n!r}")
-    if not _is_int(g) or g < 0:
-        raise ValueError(f"genus must be a non-negative integer, got {g!r}")
-    if not _is_int(k_max) or k_max < 0:
-        raise ValueError(f"k_max must be a non-negative integer, got {k_max!r}")
-    found: list[tuple[int, ...]] = []
-    for k in range(k_max + 1):
-        for c1 in range(g, g + k + 1):
-            c_last = 2 * g + k - c1
-            for c0 in range(1, k + 2):
-                cn = k + 2 - c0
-                counts = [0] * (n + 1)
-                counts[0], counts[1], counts[n - 1], counts[n] = c0, c1, c_last, cn
-                spec = FlowSpec(n=n, counts=tuple(counts))
-                if validate_flow(spec).admissible:
-                    found.append(tuple(counts))
-    found.sort()
-    return found
+    return list(_admissible_counts(n, g, k_max))
 
 
 def flow_spec_from_json(data: Any) -> FlowSpec:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 
@@ -102,6 +103,13 @@ class TestPoincareCommand:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    def test_huge_sphere_in_human_format(self, capsys):
+        # The human form is sparse, so no dense coefficient list is built.
+        with address_space_cap():
+            code, out, err = run(capsys, "poincare", "S999999999999", "--format", "human")
+        assert (code, err) == (0, "")
+        assert out == "p(t) = 1 + t^999999999999\n"
+
 
 class TestBettiCommand:
     def test_single_integer(self, capsys):
@@ -186,6 +194,35 @@ class TestEnumerateCommand:
     def test_bad_dimension_exits_2(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "3", "--g", "0", "--k-max", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "human"])
+    @pytest.mark.parametrize("n,g,k_max", [("3", "0", "0"), ("4", "-1", "0"), ("4", "0", "-1")])
+    def test_bad_argument_prints_one_error_line_only(self, capsys, n, g, k_max, fmt):
+        code, out, err = run(capsys, "enumerate", "--n", n, "--g", g, "--k-max", k_max,
+                             "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_streams_the_first_line_of_a_huge_range(self):
+        # The whole list for k_max = 10**6 would not fit under the cap, so
+        # the first line arrives only if the command streams.
+        src = os.path.dirname(os.path.dirname(flowtop.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        with subprocess.Popen(
+                [sys.executable, "-c",
+                 "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+                 "from flowtop.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "enumerate", "--n", "8", "--g", "5", "--k-max", "1000000"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            try:
+                ready, _, _ = select.select([proc.stdout], [], [], 60)
+                first = proc.stdout.readline() if ready else b""
+            finally:
+                proc.kill()
+                proc.stdout.close()
+                proc.stderr.close()
+        assert json.loads(first) == {"c": [1, 5, 0, 0, 0, 0, 0, 5, 1], "k": 0}
 
     def test_closed_output_pipe_exits_0(self):
         # About 150 kB of output: more than a pipe holds, so the writer

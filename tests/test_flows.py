@@ -1,3 +1,5 @@
+import collections
+import itertools
 import json
 import random
 
@@ -438,10 +440,31 @@ class TestEnumerateFlows:
                     assert genus_of_counts(nu, mu) == g
 
     def test_matches_brute_force(self):
-        for n in (4, 5):
-            for g in range(2):
-                for k_max in range(3):
+        for n in range(4, 10):
+            for g in range(5):
+                for k_max in range(6):
                     assert set(enumerate_flows(n, g, k_max)) == brute_force_vectors(n, g, k_max)
+
+    def test_generator_yields_in_strictly_increasing_order(self):
+        # no sort is applied after the generator: its own order must be lexicographic
+        for n in (4, 5, 8, 9):
+            for g in range(3):
+                vectors = list(flows._admissible_counts(n, g, 5))
+                assert all(a < b for a, b in zip(vectors, vectors[1:]))
+
+    def test_first_vectors_of_a_huge_range_come_at_once(self):
+        with address_space_cap():
+            for n, g in ((8, 5), (9, 2)):
+                first = list(itertools.islice(flows._admissible_counts(n, g, 10**6), 3))
+                assert first[0] == (1, g) + (0,) * (n - 3) + (g, 1)
+                assert len(first) == 3
+
+    def test_odd_dimension_has_k_plus_one_vectors_per_k(self):
+        for n in (5, 7, 9):
+            for g in range(4):
+                per_k = collections.Counter(
+                    c[0] + c[n] - 2 for c in enumerate_flows(n, g, 6))
+                assert per_k == {k: k + 1 for k in range(7)}
 
     def test_nonzero_middle_count_is_always_inadmissible(self):
         rng = random.Random(8)
@@ -520,3 +543,11 @@ class TestPoincareCache:
         for g in range(3 * bound):
             obstruction_check(5, 2, g)
         assert flows._poincare.cache_info().currsize == bound
+
+    def test_only_middle_indices_read_betti_numbers(self):
+        flows._poincare.cache_clear()
+        for n in range(3, 12):
+            for g in range(4):
+                obstruction_check(n, 1, g)
+                obstruction_check(n, n - 1, g)
+        assert flows._poincare.cache_info().currsize == 0
