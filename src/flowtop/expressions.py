@@ -199,6 +199,15 @@ def _build(node_type, pos: int, *args) -> ManifoldExpr:
         raise ParseError(str(exc), pos) from exc
 
 
+def _integer(digits: str, pos: int) -> int:
+    """A run of decimal digits as an int; a run longer than the interpreter's
+    int-string limit (4300 digits by default) is a ParseError at ``pos``."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from exc
+
+
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
     tokens = []
     i = 0
@@ -219,13 +228,13 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
                 j += 1
             if j == i + 1:
                 raise ParseError("expected digits after 'S'", i)
-            tokens.append(("sphere", int(text[i + 1:j]), i))
+            tokens.append(("sphere", _integer(text[i + 1:j], i), i))
             i = j
         elif c.isdecimal():
             j = i
             while j < end and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _integer(text[i:j], i), i))
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", i)

@@ -199,8 +199,10 @@ def genus_of_counts(nu: int, mu: int) -> int:
 @lru_cache(maxsize=1024)
 def _poincare(n: int, g: int) -> PoincarePolynomial:
     """Betti numbers of the genus-g manifold, read sparsely: O(1) in n.
-    The cache is bounded: it need only keep one (n, g) hot across
-    :func:`enumerate_flows` and one CLI call."""
+    :func:`validate_flow` looks one (n, g) up at least twice per call (Morse
+    inequalities and Euler characteristic, then once per index obstruction),
+    which is what the bounded cache saves; :func:`enumerate_flows` never
+    reaches it."""
     return poincare_polynomial(s_ng(n, g))
 
 

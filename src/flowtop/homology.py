@@ -10,7 +10,13 @@ finitely many degrees, so three closed-form rules suffice:
   added in degrees 1 through n-1.
 
 Each rule is written once, over sparse degree -> rank maps; ``_ranks`` folds
-them over the tree on plain dicts, so each public call validates one result.
+them over the tree on plain dicts.  The fold's map is right by construction
+(non-negative int degrees, positive int ranks), so ``homology`` adopts it
+through ``GradedGroup._adopt``, which only sorts it by degree,
+``poincare_polynomial`` views that group, and ``betti`` and
+``euler_characteristic`` read the map directly.  The public constructors,
+and ``PoincarePolynomial._of`` that ``repr`` prints, still check every
+entry they are given.
 PoincarePolynomial is the rank view of a torsion-free GradedGroup; only its
 dense ``coefficients`` tuple costs memory proportional to the dimension.
 
@@ -70,6 +76,16 @@ class GradedGroup:
                 clean_torsion[deg] = fs
         self._ranks = dict(sorted(clean_ranks.items()))
         self._torsion = dict(sorted(clean_torsion.items()))
+
+    @classmethod
+    def _adopt(cls, ranks: Mapping[int, int]) -> "GradedGroup":
+        """Torsion-free group of a rank map whose degrees are non-negative
+        ints and whose ranks are positive ints, as ``_ranks`` builds them;
+        sorted by degree, no entry checked."""
+        group = cls.__new__(cls)
+        group._ranks = dict(sorted(ranks.items()))
+        group._torsion = {}
+        return group
 
     def rank(self, degree: int) -> int:
         return self._ranks.get(degree, 0)
@@ -133,8 +149,13 @@ class PoincarePolynomial:
 
     @classmethod
     def _of(cls, ranks: Mapping[int, int]) -> "PoincarePolynomial":
+        return cls._view(GradedGroup(ranks))
+
+    @classmethod
+    def _view(cls, group: GradedGroup) -> "PoincarePolynomial":
+        """The rank view of a torsion-free group, sharing its rank map."""
         poly = cls.__new__(cls)
-        poly._ranks = GradedGroup(ranks)._ranks
+        poly._ranks = group._ranks
         return poly
 
     @property
@@ -210,12 +231,12 @@ def _ranks(expr: ManifoldExpr) -> dict[int, int]:
 
 def homology(expr: ManifoldExpr) -> GradedGroup:
     """Graded integer homology of an expression (always torsion-free)."""
-    return GradedGroup(_ranks(expr))
+    return GradedGroup._adopt(_ranks(expr))
 
 
 def poincare_polynomial(expr: ManifoldExpr) -> PoincarePolynomial:
     """Sum of betti(expr, i) * t^i over degrees 0..dimension(expr)."""
-    return PoincarePolynomial._of(_ranks(expr))
+    return PoincarePolynomial._view(homology(expr))
 
 
 def poly_product(p: PoincarePolynomial, q: PoincarePolynomial) -> PoincarePolynomial:
@@ -248,9 +269,9 @@ def connected_sum_poly(polys: Iterable[PoincarePolynomial], n: int) -> PoincareP
 def betti(expr: ManifoldExpr, i: int) -> int:
     """Rank of the i-th homology group; 0 for an int i outside 0..dimension."""
     _check_degree(i)
-    return homology(expr).rank(i)
+    return _ranks(expr).get(i, 0)
 
 
 def euler_characteristic(expr: ManifoldExpr) -> int:
     """Alternating sum of the Betti numbers."""
-    return poincare_polynomial(expr)(-1)
+    return sum(-r if i & 1 else r for i, r in _ranks(expr).items())

@@ -76,6 +76,9 @@ class TestParse:
         ("S\u2460", 0),
         ("Sng(4,\u00b2)", 6),
         ("S3 x S\u00b2", 5),
+        # digit runs past the interpreter's int-string limit (4300 digits)
+        pytest.param("S" + "1" * 5000, 0, id="S-5000-digits"),
+        pytest.param("Sng(4," + "1" * 5000 + ")", 6, id="Sng-5000-digits"),
     ])
     def test_syntax_errors_report_position(self, text, position):
         with pytest.raises(ParseError) as err:

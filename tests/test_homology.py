@@ -80,6 +80,12 @@ class TestPoincarePolynomial:
             p = poincare_polynomial(random_expr(rng))
             assert eval(repr(p), {"PoincarePolynomial": PoincarePolynomial}) == p
 
+    @pytest.mark.parametrize("ranks", [{0: -1}, {-1: 1}, {0: True}, {0.5: 1}])
+    def test_of_refuses_bad_maps(self, ranks):
+        # repr prints _of, so eval(repr(...)) brings user text here.
+        with pytest.raises(ValueError):
+            PoincarePolynomial._of(ranks)
+
     def test_repr_is_sparse(self):
         with address_space_cap():
             text = repr(poincare_polynomial(SphereAtom(10**9)))
@@ -373,6 +379,15 @@ class TestFold:
         expected = per_node_homology(expr)
         assert homology(expr) == expected
         assert poincare_polynomial(expr) == PoincarePolynomial._of(expected.ranks)
+        # The answers adopt the fold's map unchecked; a dict compares equal in
+        # any order, so repr and str pin the degree order and that no zero
+        # rank is kept.
+        ranks = homology_module._ranks(expr)
+        checked, adopted = GradedGroup(ranks), homology(expr)
+        assert adopted == checked
+        assert (repr(adopted), str(adopted)) == (repr(checked), str(checked))
+        checked, adopted = PoincarePolynomial._of(ranks), poincare_polynomial(expr)
+        assert (repr(adopted), str(adopted)) == (repr(checked), str(checked))
         for i in {0, 1, expr.dim - 1, expr.dim, expr.dim + 1}:
             assert betti(expr, i) == expected.rank(i)
         assert euler_characteristic(expr) == sum(
@@ -397,17 +412,17 @@ class TestFold:
         self.assert_matches_reference(Product(SphereAtom(2), chain.left))
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        """Every GradedGroup constructed while the test runs."""
-        built = []
+    def checked(self, monkeypatch):
+        """Every GradedGroup built by the checking constructor while the test runs."""
+        checked = []
         init = GradedGroup.__init__
 
         def counting(self, *args, **kwargs):
-            built.append(self)
+            checked.append(self)
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(GradedGroup, "__init__", counting)
-        return built
+        return checked
 
     @pytest.mark.parametrize("call", [
         homology,
@@ -415,10 +430,10 @@ class TestFold:
         euler_characteristic,
         lambda expr: betti(expr, 1),
     ])
-    def test_each_call_builds_one_graded_group(self, call, built):
+    def test_each_call_builds_no_checked_graded_group(self, call, checked):
         call(parse_manifold("(S2 x S1 x S3 # Sng(6,4)) x S2 # S5 x S2 x S1 # S8"))
-        assert len(built) == 1
+        assert checked == []
 
-    def test_flows_poincare_builds_one_graded_group(self, built):
+    def test_flows_poincare_builds_no_checked_graded_group(self, checked):
         flows._poincare.__wrapped__(7, 2000)  # past the per-process cache
-        assert len(built) == 1
+        assert checked == []
