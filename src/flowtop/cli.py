@@ -69,12 +69,23 @@ def _graded_lines(group: GradedGroup, top: int) -> Iterator[str]:
         yield f"H_{d} = {_group_term(group.rank(d), group.invariant_factors(d))}"
 
 
+def _too_long(exc: Exception) -> bool:
+    """Whether ``exc`` is the interpreter refusing to convert an int past its
+    int-string limit (4300 digits by default).  The limit stays: it guards
+    against quadratic conversion, and its hint names a setting no flag sets."""
+    return "integer string conversion" in str(exc)
+
+
 def _load_json_file(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON document is nested too deeply") from None
+        except ValueError as exc:
+            if not _too_long(exc):
+                raise
+            raise ValueError(f"{path}: JSON document holds an integer too long to read") from None
 
 
 def _cmd_homology(args) -> int:
@@ -271,7 +282,10 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return status
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # input past the limit is refused where it is read, so what could not
+        # be written is the answer, or a refusal naming one of its dimensions
+        message = "the answer holds an integer too long to print" if _too_long(exc) else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: the result does not fit in memory", file=sys.stderr)

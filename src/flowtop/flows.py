@@ -483,7 +483,11 @@ def flow_spec_from_json(data: Any) -> FlowSpec:
         for entry in raw_conns:
             if not isinstance(entry, dict) or "from" not in entry or "to" not in entry:
                 raise ValueError("each connection must be an object with 'from' and 'to'")
-            conns.append(Connection(str(entry["from"]), str(entry["to"])))
+            ends = entry["from"], entry["to"]
+            # labels are JSON strings: 1, true and null must not match "1", "True", "None"
+            if not all(isinstance(end, str) for end in ends):
+                raise ValueError("connection endpoints 'from' and 'to' must be label strings")
+            conns.append(Connection(*ends))
         connections = tuple(conns)
         indices = {str(k): v for k, v in raw_idx.items()}
     return FlowSpec(n=n, counts=tuple(counts), no_heteroclinic=no_het,

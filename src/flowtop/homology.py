@@ -9,16 +9,19 @@ finitely many degrees, so three closed-form rules suffice:
 * connected sum of dimension n: rank 1 in degrees 0 and n, summand ranks
   added in degrees 1 through n-1.
 
-Each rule is written once, over sparse degree -> rank maps; ``_ranks`` folds
-them over the tree on plain dicts.  The fold's map is right by construction
-(non-negative int degrees, positive int ranks), so ``homology`` adopts it
-through ``GradedGroup._adopt``, which only sorts it by degree,
-``poincare_polynomial`` views that group, and ``betti`` and
-``euler_characteristic`` read the map directly.  The public constructors,
-and ``PoincarePolynomial._of`` that ``repr`` prints, still check every
-entry they are given.
-PoincarePolynomial is the rank view of a torsion-free GradedGroup; only its
-dense ``coefficients`` tuple costs memory proportional to the dimension.
+Each rule is written once, over sparse degree -> rank maps, and reached one
+way: ``_ranks`` folds them over the tree on plain dicts.  An expression is
+the only way to ask for homology or a Poincare polynomial.  The fold's map
+is right by construction (non-negative int degrees, positive int ranks), so
+``homology`` adopts it through ``GradedGroup._adopt``, which only sorts it
+by degree, ``poincare_polynomial`` views that group, and ``betti`` and
+``euler_characteristic`` read the map directly.  The public ``GradedGroup``
+constructor, and ``PoincarePolynomial._of`` that ``repr`` prints, still
+check every entry they are given.
+
+PoincarePolynomial is the read-only rank view of a torsion-free
+GradedGroup; only its dense ``coefficients`` tuple costs memory
+proportional to the dimension.
 
 GradedGroup also carries invariant-factor torsion even though this module
 never produces any: the simplicial verifier reuses the type and must be
@@ -35,11 +38,9 @@ __all__ = [
     "GradedGroup",
     "PoincarePolynomial",
     "betti",
-    "connected_sum_poly",
     "euler_characteristic",
     "homology",
     "poincare_polynomial",
-    "poly_product",
 ]
 
 
@@ -102,10 +103,6 @@ class GradedGroup:
         return dict(self._torsion)
 
     @property
-    def degrees(self) -> list[int]:
-        return sorted(self._ranks.keys() | self._torsion.keys())
-
-    @property
     def is_torsion_free(self) -> bool:
         return not self._torsion
 
@@ -135,20 +132,18 @@ def _check_stored_degree(d) -> None:
 
 
 class PoincarePolynomial:
-    """Polynomial with non-negative integer coefficients, stored sparsely.
+    """Read-only Poincare polynomial of an expression, stored sparsely.
 
-    Coefficient i is the i-th Betti number of whatever space the polynomial
-    describes, kept as a GradedGroup rank map.  ``degree`` is the top
+    Coefficient i is the i-th Betti number, kept as a GradedGroup rank map;
+    ``poincare_polynomial`` is the way to get one.  ``degree`` is the top
     non-zero degree (0 for the zero polynomial).
     """
 
     __slots__ = ("_ranks",)
 
-    def __init__(self, coefficients: Iterable[int]):
-        self._ranks = GradedGroup(dict(enumerate(coefficients)))._ranks
-
     @classmethod
     def _of(cls, ranks: Mapping[int, int]) -> "PoincarePolynomial":
+        """The polynomial of a degree -> rank map, every entry checked."""
         return cls._view(GradedGroup(ranks))
 
     @classmethod
@@ -171,11 +166,6 @@ class PoincarePolynomial:
 
     def coefficient(self, i: int) -> int:
         return self._ranks.get(i, 0)
-
-    def __mul__(self, other: "PoincarePolynomial") -> "PoincarePolynomial":
-        if not isinstance(other, PoincarePolynomial):
-            return NotImplemented
-        return PoincarePolynomial._of(_convolve(self._ranks, other._ranks))
 
     def __call__(self, t: int) -> int:
         return sum(c * t ** i for i, c in self._ranks.items())
@@ -237,33 +227,6 @@ def homology(expr: ManifoldExpr) -> GradedGroup:
 def poincare_polynomial(expr: ManifoldExpr) -> PoincarePolynomial:
     """Sum of betti(expr, i) * t^i over degrees 0..dimension(expr)."""
     return PoincarePolynomial._view(homology(expr))
-
-
-def poly_product(p: PoincarePolynomial, q: PoincarePolynomial) -> PoincarePolynomial:
-    """Coefficient-wise convolution; the polynomial of a direct product."""
-    return p * q
-
-
-def connected_sum_poly(polys: Iterable[PoincarePolynomial], n: int) -> PoincarePolynomial:
-    """Polynomial of a connected sum of manifolds with the given polynomials.
-
-    Every input must have degree n with coefficient 1 in degrees 0 and n;
-    the result keeps those unit coefficients and adds the inputs
-    coefficient-wise in degrees 1..n-1.
-    """
-    ps = list(polys)
-    if not ps:
-        raise ValueError("need at least one summand polynomial")
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    for p in ps:
-        if p.degree != n:
-            raise ValueError(f"degree mismatch: expected degree {n}, got {p.degree}")
-        if p.coefficient(0) != 1 or p.coefficient(n) != 1:
-            raise ValueError(
-                "summand polynomial must have coefficient 1 in degrees 0 and "
-                f"{n}, got {p!r}")
-    return PoincarePolynomial._of(_connected_sum(((p._ranks, 1) for p in ps), n))
 
 
 def betti(expr: ManifoldExpr, i: int) -> int:

@@ -111,6 +111,26 @@ class TestPoincareCommand:
         assert out == "p(t) = 1 + t^999999999999\n"
 
 
+NINES = "9" * 4300  # the longest decimal run the int-string limit lets through
+
+
+class TestAnswerTooLongToPrint:
+    """Ranks past the interpreter's int-string limit are one error line of
+    flowtop's own, not the interpreter's hint to raise the limit."""
+
+    @pytest.mark.parametrize("argv", [
+        ("homology", f"S{NINES} x S{NINES}", "--format", "json"),
+        ("homology", f"S{NINES} x S{NINES}", "--format", "human"),
+        ("poincare", f"S{NINES} x S{NINES}", "--format", "json"),
+        ("poincare", f"S{NINES} x S{NINES}", "--format", "human"),
+        ("betti", f"Sng(4,{NINES[1:]}) x Sng(4,{NINES[1:]})", "--degree", "2"),
+    ], ids=["homology-json", "homology-human", "poincare-json", "poincare-human", "betti"])
+    def test_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: the answer holds an integer too long to print\n"
+
+
 class TestBettiCommand:
     def test_single_integer(self, capsys):
         code, out, _ = run(capsys, "betti", "Sng(6,4)", "--degree", "5")
@@ -174,6 +194,21 @@ class TestCheckFlowCommand:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "check-flow", str(tmp_path / "absent.json"))
         assert code == 2
+
+    def test_integer_endpoint_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "flow.json"
+        path.write_text(json.dumps({**ADMISSIBLE_SPEC, "indices": {"1": 1, "a": 0},
+                                    "connections": [{"from": 1, "to": "a"}]}))
+        code, out, err = run(capsys, "check-flow", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: connection endpoints 'from' and 'to' must be label strings\n"
+
+    def test_integer_too_long_to_read_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "flow.json"
+        path.write_text('{"n": 4, "counts": [1, %s, 0, 1, 1]}' % ("1" * 5000))
+        code, out, err = run(capsys, "check-flow", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: JSON document holds an integer too long to read\n"
 
 
 class TestEnumerateCommand:

@@ -511,6 +511,11 @@ class TestJson:
         {"n": 4, "counts": [1, 0, 0, 0, 1], "connections": []},
         {"n": 4, "counts": [1, 0, 0, 0, 1], "connections": [{"from": "a"}],
          "indices": {"a": 0}},
+        # JSON 1, true and null are not the labels "1", "True" and "None"
+        *({"n": 4, "counts": [1, 1, 0, 1, 1], "connections": [conn],
+           "indices": {"1": 1, "True": 1, "None": 1, "a": 0}}
+          for conn in ({"from": 1, "to": "a"}, {"from": "a", "to": True},
+                       {"from": None, "to": "a"})),
     ])
     def test_malformed_documents(self, doc):
         with pytest.raises(ValueError):

@@ -21,11 +21,9 @@ from flowtop.homology import (
     GradedGroup,
     PoincarePolynomial,
     betti,
-    connected_sum_poly,
     euler_characteristic,
     homology,
     poincare_polynomial,
-    poly_product,
 )
 
 from helpers import address_space_cap, convolve_ranks, expr_of_dim, random_expr
@@ -67,12 +65,12 @@ class TestGradedGroup:
 
 class TestPoincarePolynomial:
     def test_trailing_zeros_stripped(self):
-        assert PoincarePolynomial([1, 0]) == PoincarePolynomial([1])
-        assert PoincarePolynomial([0, 0]).degree == 0
+        assert PoincarePolynomial._of({0: 1, 1: 0}) == PoincarePolynomial._of({0: 1})
+        assert PoincarePolynomial._of({0: 0, 1: 0}).degree == 0
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
-            PoincarePolynomial([1, -1])
+            PoincarePolynomial._of({0: 1, 1: -1})
 
     def test_repr_evaluates_back(self):
         rng = random.Random(5)
@@ -92,12 +90,12 @@ class TestPoincarePolynomial:
         assert text == "PoincarePolynomial._of({0: 1, 1000000000: 1})"
 
     def test_pretty_printing(self):
-        assert str(PoincarePolynomial([1, 2, 0, 2, 1])) == "1 + 2t + 2t^3 + t^4"
-        assert str(PoincarePolynomial([0])) == "0"
-        assert str(PoincarePolynomial([0, 1])) == "t"
+        assert str(PoincarePolynomial._of({0: 1, 1: 2, 3: 2, 4: 1})) == "1 + 2t + 2t^3 + t^4"
+        assert str(PoincarePolynomial._of({})) == "0"
+        assert str(PoincarePolynomial._of({1: 1})) == "t"
 
     def test_evaluation(self):
-        p = PoincarePolynomial([1, 2, 1])
+        p = PoincarePolynomial._of({0: 1, 1: 2, 2: 1})
         assert p(1) == 4
         assert p(-1) == 0
 
@@ -134,20 +132,28 @@ class TestPoincare:
         assert poincare_polynomial(SphereAtom(2)).coefficients == (1, 0, 1)
 
     def test_agrees_with_poly_product_on_products(self):
+        """The polynomial of a product is the product of the factors'
+        polynomials, multiplied out by the helpers' convolution."""
         rng = random.Random(99)
         for _ in range(50):
             x = random_expr(rng, max_depth=3, max_dim=4)
             y = random_expr(rng, max_depth=3, max_dim=4)
-            assert poincare_polynomial(Product(x, y)) == poly_product(
-                poincare_polynomial(x), poincare_polynomial(y))
+            expected = convolve_ranks(homology(x).ranks, homology(y).ranks)
+            assert poincare_polynomial(Product(x, y)) == PoincarePolynomial._of(expected)
 
     def test_agrees_with_connected_sum_poly_on_sums(self):
+        """The polynomial of a connected sum: 1 + t^n, plus every summand's
+        coefficients in degrees 1 through n-1."""
         rng = random.Random(100)
         for _ in range(50):
             n = rng.randint(2, 6)
             summands = [expr_of_dim(rng, n, 3) for _ in range(rng.randint(2, 4))]
-            assert poincare_polynomial(ConnSum(tuple(summands))) == connected_sum_poly(
-                [poincare_polynomial(s) for s in summands], n)
+            expected = [1] + [0] * (n - 1) + [1]
+            for s in summands:
+                coefficients = poincare_polynomial(s).coefficients
+                for i in range(1, n):
+                    expected[i] += coefficients[i]
+            assert poincare_polynomial(ConnSum(tuple(summands))).coefficients == tuple(expected)
 
     def test_huge_dimension_in_closed_form(self):
         k = 10**12
@@ -160,52 +166,28 @@ class TestPoincare:
 
 
 class TestPolyProduct:
-    def test_handle_factorization(self):
-        p = poly_product(PoincarePolynomial([1, 0, 0, 1]), PoincarePolynomial([1, 1]))
-        assert p.coefficients == (1, 1, 0, 1, 1)
+    """The polynomial of a product expression."""
 
-    def test_multiplicative_identity(self):
-        p = PoincarePolynomial([1, 2, 0, 2, 1])
-        assert poly_product(p, PoincarePolynomial([1])) == p
+    def test_handle_factorization(self):
+        p = poincare_polynomial(parse_manifold("S3 x S1"))
+        assert all(p(t) == (1 + t**3) * (1 + t) for t in range(-3, 4))
 
     def test_binomial(self):
-        p = poly_product(PoincarePolynomial([1, 1]), PoincarePolynomial([1, 1]))
+        p = poincare_polynomial(parse_manifold("S1 x S1"))
         assert p.coefficients == (1, 2, 1)
 
 
 class TestConnectedSumPoly:
+    """The polynomial of a connected-sum expression."""
+
     def test_two_handles(self):
-        handle = PoincarePolynomial([1, 1, 0, 1, 1])
-        assert connected_sum_poly([handle, handle], 4).coefficients == (1, 2, 0, 2, 1)
+        p = poincare_polynomial(parse_manifold("Sng(4,2)"))
+        assert p.coefficients == (1, 2, 0, 2, 1)
 
     def test_sum_with_sphere_is_identity(self):
-        p = PoincarePolynomial([1, 2, 0, 2, 1])
-        sphere = PoincarePolynomial([1, 0, 0, 0, 1])
-        assert connected_sum_poly([p, sphere], 4) == p
-
-    def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
-            connected_sum_poly(
-                [PoincarePolynomial([1, 0, 0, 1]), PoincarePolynomial([1, 0, 0, 0, 1])], 4)
-
-    def test_huge_degree_error_names_the_summand_sparsely(self):
-        n = 10**9
-        with address_space_cap():
-            with pytest.raises(ValueError) as direct:
-                connected_sum_poly([PoincarePolynomial._of({0: 2, n: 1})], n)
-            doubled = poly_product(poincare_polynomial(SphereAtom(n)), PoincarePolynomial([2]))
-            with pytest.raises(ValueError) as public:
-                connected_sum_poly([doubled], n)
-        assert "PoincarePolynomial._of({0: 2, 1000000000: 1})" in str(direct.value)
-        assert "PoincarePolynomial._of({0: 2, 1000000000: 2})" in str(public.value)
-
-    def test_non_unital_ends(self):
-        with pytest.raises(ValueError):
-            connected_sum_poly([PoincarePolynomial([2, 0, 0, 0, 1])], 4)
-        with pytest.raises(ValueError):
-            connected_sum_poly([], 4)
-        with pytest.raises(ValueError, match="dimension must be at least 1"):
-            connected_sum_poly([PoincarePolynomial([1])], 0)
+        for text in ["S4", "S3 x S1", "Sng(4,2)", "S2 x S2 # S1 x S3"]:
+            assert poincare_polynomial(parse_manifold(f"{text} # S4")) == poincare_polynomial(
+                parse_manifold(text))
 
 
 class TestBetti:
