@@ -16,7 +16,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from typing import Any
 
-from .expressions import parse_manifold
+from .expressions import _decimal, parse_manifold
 from .flows import (
     _admissible_counts,
     flow_spec_from_json,
@@ -144,7 +144,7 @@ def _oracle(args):
     expr = parse_manifold(args.expr)
     if expr.dim > args.max_dim:
         raise ValueError(
-            f"expression has dimension {expr.dim}, outside the constructible family "
+            f"expression has dimension {_decimal(expr.dim)}, outside the constructible family "
             f"(limit {args.max_dim}); raise it with --max-dim if you really want this")
     return expr, simplicial_homology(triangulate(expr))
 
@@ -282,8 +282,9 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return status
     except (ValueError, OSError) as exc:
-        # input past the limit is refused where it is read, so what could not
-        # be written is the answer, or a refusal naming one of its dimensions
+        # input past the limit is refused where it is read, and a refusal
+        # names a huge dimension by its digits, so what could not be written
+        # is the answer
         message = "the answer holds an integer too long to print" if _too_long(exc) else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

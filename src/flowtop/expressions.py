@@ -21,6 +21,7 @@ manifold, so no runtime orientability checks exist anywhere downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -117,7 +118,8 @@ class ConnSum:
         dims = sorted({s.dim for s, _ in parts})
         if len(dims) != 1:
             raise DimensionMismatchError(
-                f"connected-sum summands must have equal dimensions, got {dims}")
+                "connected-sum summands must have equal dimensions, "
+                f"got [{', '.join(map(_decimal, dims))}]")
         if dims[0] < 2:
             raise ValueError("connected sums are defined in dimension >= 2")
         _set_shape(self, max(s.height for s, _ in parts), dims[0])
@@ -206,6 +208,18 @@ def _integer(digits: str, pos: int) -> int:
         return int(digits)
     except ValueError as exc:
         raise ParseError(f"integer of {len(digits)} digits is too long", pos) from exc
+
+
+def _decimal(d: int) -> str:
+    """``str(d)``, or its digit count when ``d`` is past the interpreter's
+    int-string limit, so that a refusal naming a dimension can be printed."""
+    try:
+        return str(d)
+    except ValueError:
+        k = int((d.bit_length() - 1) * math.log10(2))  # 10**k <= d, give or take one
+        while 10 ** k <= d:
+            k += 1
+        return f"<{k} digits>"
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:

@@ -18,19 +18,21 @@ mu = k + 2, the Euler characteristic, and, when connection data is
 given, the saddle-to-node connections (labels match the counts, every
 edge runs from a higher Morse index to a lower one, no saddle-to-saddle
 edge, each saddle has the sinks and sources its index allows).
+
+Each law that needs the manifold's homology asks the engine for it once
+per call: the Morse check reads ``poincare_polynomial(s_ng(n, g))`` and
+the Euler check ``euler_characteristic(s_ng(n, g))``; both are O(1) in n
+and g, so nothing is cached.  The middle-index exclusion reads no Betti
+numbers, since beta_i(Sng(n, g)) = 0 for every 2 <= i <= n-2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Iterator, Mapping
 
 from .expressions import s_ng
-from .homology import PoincarePolynomial, poincare_polynomial
-# flows no longer calls euler_characteristic, but perfbench/spans.py wraps it
-# here as an import site, so the name stays importable from this module.
-from .homology import euler_characteristic  # noqa: F401
+from .homology import euler_characteristic, poincare_polynomial
 
 __all__ = [
     "CheckResult",
@@ -196,30 +198,22 @@ def genus_of_counts(nu: int, mu: int) -> int:
     return s // 2
 
 
-@lru_cache(maxsize=1024)
-def _poincare(n: int, g: int) -> PoincarePolynomial:
-    """Betti numbers of the genus-g manifold, read sparsely: O(1) in n.
-    :func:`validate_flow` looks one (n, g) up at least twice per call (Morse
-    inequalities and Euler characteristic, then once per index obstruction),
-    which is what the bounded cache saves; :func:`enumerate_flows` never
-    reaches it."""
-    return poincare_polynomial(s_ng(n, g))
-
-
 def check_morse_inequalities(spec: FlowSpec, g: int) -> list[tuple[int, int, int]]:
     """Violations of c_i >= beta_i on the genus-g manifold, as (i, c_i, beta_i)."""
-    beta = _poincare(spec.n, g).coefficient
+    beta = poincare_polynomial(s_ng(spec.n, g)).coefficient
     return [(i, c, beta(i)) for i, c in enumerate(spec.counts) if c < beta(i)]
 
 
 def obstruction_check(n: int, i: int, g: int) -> ObstructionResult:
     """Whether an index-i saddle can occur at all on the genus-g manifold.
 
-    Forbidden exactly when 2 <= i <= n-2 and the Betti numbers in degrees
-    i and n-i both vanish: the closures of the saddle's invariant
-    manifolds are spheres of dimensions i and n-i crossing transversally
-    in the saddle alone (intersection number +1 or -1), while
-    null-homologous spheres must have intersection number 0.
+    Forbidden exactly when 2 <= i <= n-2: the closures of the saddle's
+    invariant manifolds are spheres of dimensions i and n-i crossing
+    transversally in the saddle alone (intersection number +1 or -1),
+    while null-homologous spheres must have intersection number 0.  No
+    Betti number is read, as none can differ: Sng(n, 0) = S^n, and by the
+    connected-sum rule beta_i(Sng(n, g)) = g * beta_i(S^(n-1) x S^1) = 0
+    for 2 <= i <= n-2.
     """
     if not _is_int(n) or n < 3:
         raise ValueError(f"ambient dimension must be an integer >= 3, got {n!r}")
@@ -228,23 +222,20 @@ def obstruction_check(n: int, i: int, g: int) -> ObstructionResult:
     if not _is_int(i) or not 1 <= i <= n - 1:
         raise ValueError(f"Morse index must lie in 1..{n - 1}, got {i!r}")
     if n == 3:
-        reason = "the middle index range 2..n-2 is empty in dimension 3"
-    elif i in (1, n - 1):
-        reason = f"Morse index {i} lies outside the excluded middle range 2..{n - 2}"
-    else:
-        beta = _poincare(n, g).coefficient
-        if beta(i) == 0 and beta(n - i) == 0:
-            return ObstructionResult(
-                admissible=False,
-                reason=(
-                    f"closures of the invariant manifolds of an index-{i} saddle are "
-                    f"spheres of dimensions {i} and {n - i} crossing transversally in a "
-                    "single point, so their intersection number is +1 or -1; but both "
-                    f"spheres are null-homologous (beta_{i} = beta_{n - i} = 0), which "
-                    "forces intersection number 0"),
-            )
-        reason = f"middle homology does not vanish (beta_{i} = {beta(i)}, beta_{n - i} = {beta(n - i)})"
-    return ObstructionResult(admissible=True, reason=reason)
+        return ObstructionResult(
+            True, "the middle index range 2..n-2 is empty in dimension 3")
+    if i in (1, n - 1):
+        return ObstructionResult(
+            True, f"Morse index {i} lies outside the excluded middle range 2..{n - 2}")
+    return ObstructionResult(
+        admissible=False,
+        reason=(
+            f"closures of the invariant manifolds of an index-{i} saddle are "
+            f"spheres of dimensions {i} and {n - i} crossing transversally in a "
+            "single point, so their intersection number is +1 or -1; but both "
+            f"spheres are null-homologous (beta_{i} = beta_{n - i} = 0), which "
+            "forces intersection number 0"),
+    )
 
 
 def validate_flow(spec: FlowSpec) -> ValidationReport:
@@ -281,7 +272,7 @@ def validate_flow(spec: FlowSpec) -> ValidationReport:
             "count_laws", True,
             f"k = mu - 2 = {k}: nu = {nu} = 2g + k = {2 * g + k}, mu = {mu} = k + 2")
 
-    checks = [genus, _check_index_restriction(n, c, g), _check_morse(spec, g), laws,
+    checks = [genus, _check_index_restriction(n, c), _check_morse(spec, g), laws,
               _check_euler(n, c, g)]
     if spec.connections is not None:
         checks.append(_check_connections(spec))
@@ -289,7 +280,7 @@ def validate_flow(spec: FlowSpec) -> ValidationReport:
     return ValidationReport(genus=g, k=k, checks=tuple(checks))
 
 
-def _check_index_restriction(n: int, c: tuple[int, ...], g: int | None) -> CheckResult:
+def _check_index_restriction(n: int, c: tuple[int, ...]) -> CheckResult:
     if n <= 3:
         detail = (f"no saddle indices in 2..{n - 2} exist in dimension {n}; the "
                   "restriction is asserted only for dimension >= 4")
@@ -300,11 +291,9 @@ def _check_index_restriction(n: int, c: tuple[int, ...], g: int | None) -> Check
     if not offenders:
         return CheckResult(
             "index_restriction", True, f"c_i = 0 for all 2 <= i <= {n - 2}")
-    parts = []
-    for i, count in offenders:
-        reason = obstruction_check(n, i, g if g is not None else 0).reason
-        parts.append(f"c_{i} = {count}: {reason}")
-    return CheckResult("index_restriction", False, "; ".join(parts))
+    # the reason is the same for every genus, so an undefined one does not matter
+    return CheckResult("index_restriction", False, "; ".join(
+        f"c_{i} = {count}: {obstruction_check(n, i, 0).reason}" for i, count in offenders))
 
 
 def _check_morse(spec: FlowSpec, g: int | None) -> CheckResult:
@@ -327,7 +316,7 @@ def _check_morse(spec: FlowSpec, g: int | None) -> CheckResult:
 def _check_euler(n: int, c: tuple[int, ...], g: int | None) -> CheckResult:
     alternating = sum(c[0::2]) - sum(c[1::2])
     if g is not None:
-        expected = _poincare(n, g)(-1)
+        expected = euler_characteristic(s_ng(n, g))
         ok = alternating == expected
         return CheckResult(
             "euler_characteristic", ok,
@@ -489,7 +478,9 @@ def flow_spec_from_json(data: Any) -> FlowSpec:
                 raise ValueError("connection endpoints 'from' and 'to' must be label strings")
             conns.append(Connection(*ends))
         connections = tuple(conns)
-        indices = {str(k): v for k, v in raw_idx.items()}
+        if not all(isinstance(label, str) for label in raw_idx):
+            raise ValueError("labels in 'indices' must be strings")
+        indices = raw_idx
     return FlowSpec(n=n, counts=tuple(counts), no_heteroclinic=no_het,
                     connections=connections, indices=indices)
 

@@ -135,11 +135,16 @@ class PoincarePolynomial:
     """Read-only Poincare polynomial of an expression, stored sparsely.
 
     Coefficient i is the i-th Betti number, kept as a GradedGroup rank map;
-    ``poincare_polynomial`` is the way to get one.  ``degree`` is the top
-    non-zero degree (0 for the zero polynomial).
+    ``poincare_polynomial`` is the way to get one, and calling the class
+    is a TypeError that says so.  ``degree`` is the top non-zero degree
+    (0 for the zero polynomial).
     """
 
     __slots__ = ("_ranks",)
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError(
+            "PoincarePolynomial is not built directly; use poincare_polynomial(expr)")
 
     @classmethod
     def _of(cls, ranks: Mapping[int, int]) -> "PoincarePolynomial":

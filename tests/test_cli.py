@@ -131,6 +131,23 @@ class TestAnswerTooLongToPrint:
         assert err == "error: the answer holds an integer too long to print\n"
 
 
+class TestDimensionTooLongToPrint:
+    """A refusal that names a dimension past the int-string limit gives its
+    digit count and still says what was refused."""
+
+    @pytest.mark.parametrize("argv,refusal", [
+        (("homology", f"S{NINES} x S{NINES} # S3"),
+         "connected-sum summands must have equal dimensions, got [3, <4301 digits>]"),
+        (("crosscheck", f"S{NINES} x S{NINES}"),
+         "expression has dimension <4301 digits>, outside the constructible family "
+         "(limit 6); raise it with --max-dim if you really want this"),
+    ], ids=["homology-connsum", "crosscheck-max-dim"])
+    def test_exits_2_with_one_line(self, capsys, argv, refusal):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {refusal}\n"
+
+
 class TestBettiCommand:
     def test_single_integer(self, capsys):
         code, out, _ = run(capsys, "betti", "Sng(6,4)", "--degree", "5")

@@ -148,6 +148,13 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError):
             ConnSum((S2, S3))
 
+    def test_connsum_mismatch_past_the_int_string_limit(self):
+        # formatting the huge dimension would raise; the refusal gives its digits
+        big = SphereAtom(10**4300 - 1)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"equal dimensions, got \[3, <4301 digits>\]$"):
+            ConnSum((Product(big, big), S3))
+
     def test_connsum_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             ConnSum((S1, S1))

@@ -516,6 +516,10 @@ class TestJson:
            "indices": {"1": 1, "True": 1, "None": 1, "a": 0}}
           for conn in ({"from": 1, "to": "a"}, {"from": "a", "to": True},
                        {"from": None, "to": "a"})),
+        # nor are index labels 1 and True the strings "1" and "True"
+        *({"n": 4, "counts": [1, 1, 0, 1, 1], "connections": [{"from": end, "to": "a"}],
+           "indices": {label: 1, "a": 0}}
+          for label, end in ((1, "1"), (True, "True"))),
     ])
     def test_malformed_documents(self, doc):
         with pytest.raises(ValueError):
@@ -541,18 +545,34 @@ class TestJson:
             assert report.admissible == all(c.passed for c in report.checks)
 
 
-class TestPoincareCache:
-    def test_distinct_genera_leave_the_cache_at_its_bound(self):
-        bound = flows._poincare.cache_info().maxsize
-        assert bound == 1024
-        for g in range(3 * bound):
-            obstruction_check(5, 2, g)
-        assert flows._poincare.cache_info().currsize == bound
+class TestEngineCalls:
+    def test_each_law_asks_the_engine_once(self, monkeypatch):
+        calls = collections.Counter()
 
-    def test_only_middle_indices_read_betti_numbers(self):
-        flows._poincare.cache_clear()
-        for n in range(3, 12):
-            for g in range(4):
-                obstruction_check(n, 1, g)
-                obstruction_check(n, n - 1, g)
-        assert flows._poincare.cache_info().currsize == 0
+        def counted(name):
+            engine = getattr(flows, name)
+
+            def call(expr):
+                calls[name] += 1
+                return engine(expr)
+            return call
+
+        for name in ("poincare_polynomial", "euler_characteristic"):
+            monkeypatch.setattr(flows, name, counted(name))
+
+        # a defined genus, with and without a middle-index saddle and connections
+        for spec in (FlowSpec(5, (1, 3, 1, 0, 2, 1)), FlowSpec(7, (1, 2000, 0, 0, 0, 0, 2000, 1)),
+                     flow_spec_from_json({"n": 2, "counts": [1, 2, 1], "connections": [],
+                                          "indices": {}})):
+            calls.clear()
+            validate_flow(spec)
+            assert calls == {"poincare_polynomial": 1, "euler_characteristic": 1}
+        calls.clear()
+        # nu - mu odd: no genus, so no Betti number to read
+        validate_flow(FlowSpec(4, (1, 1, 1, 1, 1)))
+        assert calls == {}
+        for n in (*range(3, 12), 10**9):
+            for i in {*range(1, min(n, 12)), n - 2, n - 1}:
+                for g in range(4):
+                    obstruction_check(n, i, g)
+        assert calls == {}

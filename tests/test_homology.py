@@ -68,6 +68,11 @@ class TestPoincarePolynomial:
         assert PoincarePolynomial._of({0: 1, 1: 0}) == PoincarePolynomial._of({0: 1})
         assert PoincarePolynomial._of({0: 0, 1: 0}).degree == 0
 
+    @pytest.mark.parametrize("args", [(), ([1, 2],), ({0: 1},)])
+    def test_direct_construction_points_to_poincare_polynomial(self, args):
+        with pytest.raises(TypeError, match=r"poincare_polynomial\(expr\)"):
+            PoincarePolynomial(*args)
+
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
             PoincarePolynomial._of({0: 1, 1: -1})
@@ -417,5 +422,6 @@ class TestFold:
         assert checked == []
 
     def test_flows_poincare_builds_no_checked_graded_group(self, checked):
-        flows._poincare.__wrapped__(7, 2000)  # past the per-process cache
+        report = flows.validate_flow(flows.FlowSpec(7, (1, 2000, 0, 0, 0, 0, 2000, 1)))
+        assert report.genus == 2000 and report.admissible
         assert checked == []
