@@ -109,20 +109,23 @@ class ConnSum:
             raise ValueError("connected sum needs at least two summands")
         parts: list[tuple[ManifoldExpr, int]] = []
         for s in given:
-            _check_expr(s)
-            for part, k in s.parts if isinstance(s, ConnSum) else [(s, 1)]:
+            if not isinstance(s, ConnSum):
+                _check_expr(s)
+            for part, k in s.parts if isinstance(s, ConnSum) else ((s, 1),):
                 k *= copies
                 if parts and parts[-1][0] == part:
                     k += parts.pop()[1]
                 parts.append((part, k))
-        dims = sorted({s.dim for s, _ in parts})
-        if len(dims) != 1:
-            raise DimensionMismatchError(
-                "connected-sum summands must have equal dimensions, "
-                f"got [{', '.join(map(_decimal, dims))}]")
-        if dims[0] < 2:
+        dim, height = parts[0][0].dim, 0
+        for s, _ in parts:
+            if s.dim != dim:
+                raise DimensionMismatchError(
+                    "connected-sum summands must have equal dimensions, "
+                    f"got [{', '.join(map(_decimal, sorted({s.dim for s, _ in parts})))}]")
+            height = max(height, s.height)
+        if dim < 2:
             raise ValueError("connected sums are defined in dimension >= 2")
-        _set_shape(self, max(s.height for s, _ in parts), dims[0])
+        _set_shape(self, height, dim)
         object.__setattr__(self, "parts", tuple(parts))
 
     @property
@@ -168,7 +171,7 @@ def s_ng(n: int, g: int) -> ManifoldExpr:
     Returns the sphere S^n for g = 0, a single copy of S^{n-1} x S^1 for
     g = 1, and a connected sum of g such copies for g >= 2.
     """
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n, g)):
+    if not (isinstance(n, int) and isinstance(g, int)) or bool in (type(n), type(g)):
         raise TypeError("n and g must be integers")
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got n = {n}")
@@ -236,19 +239,13 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
         elif text.startswith("Sng", i):
             tokens.append(("Sng", 0, i))
             i += 3
-        elif c == "S":
-            j = i + 1
+        elif c == "S" or c.isdecimal():
+            j = start = i + (c == "S")  # the digits after an 'S', or from this digit on
             while j < end and text[j].isdecimal():
                 j += 1
-            if j == i + 1:
+            if j == start:
                 raise ParseError("expected digits after 'S'", i)
-            tokens.append(("sphere", _integer(text[i + 1:j], i), i))
-            i = j
-        elif c.isdecimal():
-            j = i
-            while j < end and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", _integer(text[i:j], i), i))
+            tokens.append(("sphere" if start > i else "int", _integer(text[start:j], i), i))
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", i)
@@ -258,42 +255,39 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
 
 class _Parser:
     def __init__(self, tokens: list[tuple[str, int, int]]):
-        self._tokens = tokens
-        self._pos = 0
+        self.tokens = tokens
+        self.pos = 0
         self._depth = 0
 
-    def peek(self) -> str:
-        return self._tokens[self._pos][0]
-
-    def advance(self) -> tuple[str, int, int]:
-        tok = self._tokens[self._pos]
-        self._pos += 1
-        return tok
-
     def expect(self, kind: str, what: str) -> tuple[str, int, int]:
-        tok = self.advance()
+        tok = self.tokens[self.pos]
+        self.pos += 1
         if tok[0] != kind:
             raise ParseError(f"expected {what}", tok[2])
         return tok
 
     def parse_expr(self) -> ManifoldExpr:
-        terms = [self.parse_term()]
-        while self.peek() == "#":
-            pos = self.advance()[2]
+        node = self.parse_term()
+        if self.tokens[self.pos][0] != "#":
+            return node
+        terms = [node]
+        while self.tokens[self.pos][0] == "#":
+            pos = self.tokens[self.pos][2]
+            self.pos += 1
             terms.append(self.parse_term())
-        if len(terms) == 1:
-            return terms[0]
         return _build(ConnSum, pos, tuple(terms))
 
     def parse_term(self) -> ManifoldExpr:
         node = self.parse_atom()
-        while self.peek() == "x":
-            pos = self.advance()[2]
+        while self.tokens[self.pos][0] == "x":
+            pos = self.tokens[self.pos][2]
+            self.pos += 1
             node = _build(Product, pos, node, self.parse_atom())
         return node
 
     def parse_atom(self) -> ManifoldExpr:
-        kind, value, pos = self.advance()
+        kind, value, pos = self.tokens[self.pos]
+        self.pos += 1
         if kind == "sphere":
             if value < 1:
                 raise ParseError("S0 is disconnected and not a valid atom", pos)
@@ -329,9 +323,9 @@ def parse_manifold(text: str) -> ManifoldExpr:
     """
     parser = _Parser(_tokenize(text))
     expr = parser.parse_expr()
-    tok = parser.advance()
-    if tok[0] != "end":
-        raise ParseError("unexpected trailing input", tok[2])
+    kind, _, pos = parser.tokens[parser.pos]
+    if kind != "end":
+        raise ParseError("unexpected trailing input", pos)
     return expr
 
 

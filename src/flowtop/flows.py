@@ -19,11 +19,11 @@ given, the saddle-to-node connections (labels match the counts, every
 edge runs from a higher Morse index to a lower one, no saddle-to-saddle
 edge, each saddle has the sinks and sources its index allows).
 
-Each law that needs the manifold's homology asks the engine for it once
-per call: the Morse check reads ``poincare_polynomial(s_ng(n, g))`` and
-the Euler check ``euler_characteristic(s_ng(n, g))``; both are O(1) in n
-and g, so nothing is cached.  The middle-index exclusion reads no Betti
-numbers, since beta_i(Sng(n, g)) = 0 for every 2 <= i <= n-2.
+With a defined genus, ``validate_flow`` asks the engine once per call for
+``poincare_polynomial(s_ng(n, g))``: the Morse check reads its coefficients
+and the Euler check its value at t = -1.  The read is O(1) in n and g, so
+nothing is cached.  The middle-index exclusion reads no Betti numbers, since
+beta_i(Sng(n, g)) = 0 for every 2 <= i <= n-2.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
 from .expressions import s_ng
-from .homology import euler_characteristic, poincare_polynomial
+# validate_flow calls no euler_characteristic; perfbench/spans.py traces this import site.
+from .homology import PoincarePolynomial, euler_characteristic, poincare_polynomial  # noqa: F401
 
 __all__ = [
     "CheckResult",
@@ -200,8 +201,12 @@ def genus_of_counts(nu: int, mu: int) -> int:
 
 def check_morse_inequalities(spec: FlowSpec, g: int) -> list[tuple[int, int, int]]:
     """Violations of c_i >= beta_i on the genus-g manifold, as (i, c_i, beta_i)."""
-    beta = poincare_polynomial(s_ng(spec.n, g)).coefficient
-    return [(i, c, beta(i)) for i, c in enumerate(spec.counts) if c < beta(i)]
+    return _morse_violations(spec.counts, poincare_polynomial(s_ng(spec.n, g)))
+
+
+def _morse_violations(counts: tuple[int, ...],
+                      poly: PoincarePolynomial) -> list[tuple[int, int, int]]:
+    return [(i, c, b) for i, c in enumerate(counts) if c < (b := poly.coefficient(i))]
 
 
 def obstruction_check(n: int, i: int, g: int) -> ObstructionResult:
@@ -272,8 +277,9 @@ def validate_flow(spec: FlowSpec) -> ValidationReport:
             "count_laws", True,
             f"k = mu - 2 = {k}: nu = {nu} = 2g + k = {2 * g + k}, mu = {mu} = k + 2")
 
-    checks = [genus, _check_index_restriction(n, c), _check_morse(spec, g), laws,
-              _check_euler(n, c, g)]
+    poly = None if g is None else poincare_polynomial(s_ng(n, g))
+    checks = [genus, _check_index_restriction(n, c), _check_morse(n, c, g, poly), laws,
+              _check_euler(n, c, g, poly)]
     if spec.connections is not None:
         checks.append(_check_connections(spec))
 
@@ -296,36 +302,36 @@ def _check_index_restriction(n: int, c: tuple[int, ...]) -> CheckResult:
         f"c_{i} = {count}: {obstruction_check(n, i, 0).reason}" for i, count in offenders))
 
 
-def _check_morse(spec: FlowSpec, g: int | None) -> CheckResult:
-    if g is None:
+def _check_morse(n: int, c: tuple[int, ...], g: int | None,
+                 poly: PoincarePolynomial | None) -> CheckResult:
+    if poly is None:
         # The genus-0 manifold is the sphere, whose bounds c_0, c_n >= 1
         # FlowSpec already enforces.
         return CheckResult(
             "morse_inequalities", True,
             "genus undefined; checked only the genus-independent bounds "
             "(Betti numbers of the genus-0 manifold)")
-    violations = check_morse_inequalities(spec, g)
+    violations = _morse_violations(c, poly)
     if violations:
         return CheckResult("morse_inequalities", False, "; ".join(
-            f"c_{i} = {c} < beta_{i} = {b}" for i, c, b in violations))
+            f"c_{i} = {ci} < beta_{i} = {b}" for i, ci, b in violations))
     return CheckResult(
         "morse_inequalities", True,
-        f"c_i >= beta_i of the genus-{g} manifold for all 0 <= i <= {spec.n}")
+        f"c_i >= beta_i of the genus-{g} manifold for all 0 <= i <= {n}")
 
 
-def _check_euler(n: int, c: tuple[int, ...], g: int | None) -> CheckResult:
+def _check_euler(n: int, c: tuple[int, ...], g: int | None,
+                 poly: PoincarePolynomial | None) -> CheckResult:
     alternating = sum(c[0::2]) - sum(c[1::2])
-    if g is not None:
-        expected = euler_characteristic(s_ng(n, g))
-        ok = alternating == expected
+    if poly is not None:
+        expected = poly(-1)  # the alternating sum of the Betti numbers
         return CheckResult(
-            "euler_characteristic", ok,
+            "euler_characteristic", alternating == expected,
             f"sum(-1)^i c_i = {alternating}, Euler characteristic of the "
             f"genus-{g} manifold = {expected}")
     if n % 2 == 1:
-        ok = alternating == 0
         return CheckResult(
-            "euler_characteristic", ok,
+            "euler_characteristic", alternating == 0,
             f"sum(-1)^i c_i = {alternating}; every closed odd-dimensional "
             "manifold has Euler characteristic 0")
     return CheckResult(

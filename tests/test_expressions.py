@@ -60,30 +60,41 @@ class TestParse:
         expr = parse_manifold("(S1 x S1 # S1 x S1) # S1 x S1")
         assert expr == ConnSum((Product(S1, S1),) * 3)
 
-    @pytest.mark.parametrize("text,position", [
-        ("S0", 0),
-        ("S2 # S0", 5),
-        ("S", 0),
-        ("S2 S3", 3),
-        ("(S2", 3),
-        ("", 0),
-        ("S2 #", 4),
-        ("S2 @ S2", 3),
-        ("Sng(1,1)", 0),
-        ("Sng 4,2)", 4),
+    @pytest.mark.parametrize("text,position,message", [
+        ("S0", 0, "S0 is disconnected and not a valid atom"),
+        ("S2 # S0", 5, "S0 is disconnected and not a valid atom"),
+        ("S", 0, "expected digits after 'S'"),
+        ("S2 S3", 3, "unexpected trailing input"),
+        ("S2)", 2, "unexpected trailing input"),
+        ("(S2", 3, "expected ')'"),
+        ("", 0, "expected 'S<k>', 'Sng(<n>,<g>)' or '('"),
+        ("S2 #", 4, "expected 'S<k>', 'Sng(<n>,<g>)' or '('"),
+        ("S2 @ S2", 3, "unexpected character '@'"),
+        ("Sng(1,1)", 0, "dimension must be at least 2, got n = 1"),
+        ("Sng 4,2)", 4, "expected '('"),
         # digits that int() rejects: superscript two, circled one
-        ("S\u00b2", 0),
-        ("S\u2460", 0),
-        ("Sng(4,\u00b2)", 6),
-        ("S3 x S\u00b2", 5),
+        ("S\u00b2", 0, "expected digits after 'S'"),
+        ("S\u2460", 0, "expected digits after 'S'"),
+        ("Sng(4,\u00b2)", 6, "unexpected character '\u00b2'"),
+        ("S3 x S\u00b2", 5, "expected digits after 'S'"),
         # digit runs past the interpreter's int-string limit (4300 digits)
-        pytest.param("S" + "1" * 5000, 0, id="S-5000-digits"),
-        pytest.param("Sng(4," + "1" * 5000 + ")", 6, id="Sng-5000-digits"),
+        pytest.param("S" + "1" * 5000, 0, "integer of 5000 digits is too long",
+                     id="S-5000-digits"),
+        pytest.param("Sng(4," + "1" * 5000 + ")", 6, "integer of 5000 digits is too long",
+                     id="Sng-5000-digits"),
+        pytest.param("(" * (MAX_BRACKET_DEPTH + 1) + "S2" + ")" * (MAX_BRACKET_DEPTH + 1),
+                     MAX_BRACKET_DEPTH,
+                     f"brackets nested deeper than {MAX_BRACKET_DEPTH} levels",
+                     id="bracket-depth"),
+        pytest.param(" x ".join(["S1"] * (MAX_BRACKET_DEPTH + 2)), 5 * MAX_BRACKET_DEPTH + 3,
+                     f"expression tree deeper than {MAX_BRACKET_DEPTH} levels",
+                     id="tree-height"),
     ])
-    def test_syntax_errors_report_position(self, text, position):
+    def test_syntax_errors_report_position(self, text, position, message):
         with pytest.raises(ParseError) as err:
             parse_manifold(text)
         assert err.value.position == position
+        assert str(err.value) == f"{message} (at position {position})"
 
     def test_decimal_digits_of_any_script_parse(self):
         assert parse_manifold("S\u0663") == SphereAtom(3)  # Arabic-Indic three
@@ -346,10 +357,14 @@ class TestRoundTrip:
         assert parse_manifold(render_manifold(expr)) == expr
 
     @settings(max_examples=300, deadline=None)
-    @given(st.text(alphabet="Sng()#x, 0123456789", max_size=24))
+    @given(st.text(alphabet="Sng()#x, 0123456789\t\u00a0@\u00b2\u0663", max_size=24))
     def test_parser_never_crashes(self, text):
         try:
             expr = parse_manifold(text)
-        except (ParseError, DimensionMismatchError, ValueError):
+        except ParseError as err:
+            assert 0 <= err.position <= len(text)
+            assert str(err).endswith(f"(at position {err.position})")
+            return
+        except (DimensionMismatchError, ValueError):
             return
         assert parse_manifold(render_manifold(expr)) == expr
