@@ -4,8 +4,8 @@ The package has two halves that check each other.  The closed-form half
 computes graded integer homology and Poincare polynomials for manifolds
 written as sphere atoms, products and connected sums, and validates count
 data of gradient-like flows without heteroclinic intersections (genus
-formula, middle-index exclusion, Morse inequalities, count laws, Euler
-characteristic and, when given, saddle-to-node connections).  The
+formula with its count laws, middle-index exclusion, Morse inequalities,
+Euler characteristic and, when given, saddle-to-node connections).  The
 simplicial half triangulates the same manifolds and recomputes homology
 from integer boundary matrices via Smith normal form, providing an
 independent verification path.

@@ -9,12 +9,13 @@ of such a flow is the dimension-n genus-g piece with
 
     g = (nu - mu + 2) / 2,
 
-and a count vector is checked against that manifold in six ways: the
-genus formula (g a non-negative integer), the middle-index exclusion (an
-index in 2..n-2 would give a pair of transversally crossing spheres with
-intersection number +1 or -1 that vanishing middle homology forces to 0),
-the Morse inequalities c_i >= beta_i, the count laws nu = 2g + k,
-mu = k + 2, the Euler characteristic, and, when connection data is
+and a count vector is checked against that manifold in five ways: the
+genus formula (g a non-negative integer, together with k = mu - 2 >= 0
+such that nu = 2g + k and mu = k + 2, which is the same formula
+rearranged), the middle-index exclusion (an index in 2..n-2 would give a
+pair of transversally crossing spheres with intersection number +1 or -1
+that vanishing middle homology forces to 0), the Morse inequalities
+c_i >= beta_i, the Euler characteristic, and, when connection data is
 given, the saddle-to-node connections (labels match the counts, every
 edge runs from a higher Morse index to a lower one, no saddle-to-saddle
 edge, each saddle has the sinks and sources its index allows).
@@ -44,7 +45,6 @@ __all__ = [
     "GenusParityError",
     "ObstructionResult",
     "ValidationReport",
-    "check_morse_inequalities",
     "enumerate_flows",
     "flow_spec_from_json",
     "flow_spec_to_json",
@@ -199,16 +199,6 @@ def genus_of_counts(nu: int, mu: int) -> int:
     return s // 2
 
 
-def check_morse_inequalities(spec: FlowSpec, g: int) -> list[tuple[int, int, int]]:
-    """Violations of c_i >= beta_i on the genus-g manifold, as (i, c_i, beta_i)."""
-    return _morse_violations(spec.counts, poincare_polynomial(s_ng(spec.n, g)))
-
-
-def _morse_violations(counts: tuple[int, ...],
-                      poly: PoincarePolynomial) -> list[tuple[int, int, int]]:
-    return [(i, c, b) for i, c in enumerate(counts) if c < (b := poly.coefficient(i))]
-
-
 def obstruction_check(n: int, i: int, g: int) -> ObstructionResult:
     """Whether an index-i saddle can occur at all on the genus-g manifold.
 
@@ -258,27 +248,22 @@ def validate_flow(spec: FlowSpec) -> ValidationReport:
     c = spec.counts
     nu = spec.saddle_count
     mu = spec.node_count
-    # The count laws hold whenever the genus is defined: FlowSpec forces
-    # c_0, c_n >= 1, so k = mu - 2 >= 0, and nu = 2g + k is the genus
-    # formula rearranged.
+    # The genus check is also the check of the count laws nu = 2g + k,
+    # mu = k + 2: FlowSpec forces c_0, c_n >= 1, so k = mu - 2 >= 0, and
+    # nu = 2g + k is the genus formula rearranged.
     try:
         g = genus_of_counts(nu, mu)
     except GenusError as exc:
         g = k = None
         genus = CheckResult("genus", False, str(exc))
-        laws = CheckResult(
-            "count_laws", False,
-            f"no integers g >= 0, k >= 0 satisfy nu = 2g + k and mu = k + 2 "
-            f"for (nu, mu) = ({nu}, {mu})")
     else:
         k = mu - 2
-        genus = CheckResult("genus", True, f"g = {g} from (nu, mu) = ({nu}, {mu})")
-        laws = CheckResult(
-            "count_laws", True,
-            f"k = mu - 2 = {k}: nu = {nu} = 2g + k = {2 * g + k}, mu = {mu} = k + 2")
+        genus = CheckResult(
+            "genus", True,
+            f"g = {g}, k = {k} from (nu, mu) = ({nu}, {mu}): nu = 2g + k, mu = k + 2")
 
     poly = None if g is None else poincare_polynomial(s_ng(n, g))
-    checks = [genus, _check_index_restriction(n, c), _check_morse(n, c, g, poly), laws,
+    checks = [genus, _check_index_restriction(n, c), _check_morse(n, c, g, poly),
               _check_euler(n, c, g, poly)]
     if spec.connections is not None:
         checks.append(_check_connections(spec))
@@ -288,7 +273,7 @@ def validate_flow(spec: FlowSpec) -> ValidationReport:
 
 def _check_index_restriction(n: int, c: tuple[int, ...]) -> CheckResult:
     if n <= 3:
-        detail = (f"no saddle indices in 2..{n - 2} exist in dimension {n}; the "
+        detail = (f"dimension {n} < 4 has no saddle index in 2..n-2; the "
                   "restriction is asserted only for dimension >= 4")
         if n == 3:
             detail += " (in dimension 3 the genus-0 case is known classically)"
@@ -311,10 +296,10 @@ def _check_morse(n: int, c: tuple[int, ...], g: int | None,
             "morse_inequalities", True,
             "genus undefined; checked only the genus-independent bounds "
             "(Betti numbers of the genus-0 manifold)")
-    violations = _morse_violations(c, poly)
+    violations = [f"c_{i} = {ci} < beta_{i} = {b}"
+                  for i, ci in enumerate(c) if ci < (b := poly.coefficient(i))]
     if violations:
-        return CheckResult("morse_inequalities", False, "; ".join(
-            f"c_{i} = {ci} < beta_{i} = {b}" for i, ci, b in violations))
+        return CheckResult("morse_inequalities", False, "; ".join(violations))
     return CheckResult(
         "morse_inequalities", True,
         f"c_i >= beta_i of the genus-{g} manifold for all 0 <= i <= {n}")
@@ -430,7 +415,7 @@ def enumerate_flows(n: int, g: int, k_max: int) -> list[tuple[int, ...]]:
     They are written down in closed form, not filtered.  A vector is fixed
     by (c_0, c_1, c_{n-1}), since k = c_1 + c_{n-1} - 2g and
     c_n = k + 2 - c_0, so looping over c_0, then c_1, then k yields them in
-    lexicographic order.  The genus, index-restriction, Morse and count-law
+    lexicographic order.  The genus (count-law), index-restriction and Morse
     checks hold by construction.  The Euler check keeps every vector when n
     is even (the alternating sum is (k + 2) - (2g + k) = 2 - 2g).  When n is
     odd the alternating sum is 2(c_0 - c_1 + g - 1) and must be 0, so only

@@ -178,7 +178,7 @@ class TestCheckFlowCommand:
         assert doc["k"] == 0
         assert [c["name"] for c in doc["checks"]] == [
             "genus", "index_restriction", "morse_inequalities",
-            "count_laws", "euler_characteristic"]
+            "euler_characteristic"]
 
     def test_inadmissible_exits_1(self, tmp_path, capsys):
         path = tmp_path / "flow.json"

@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ from flowtop.flows import (
     FlowSpec,
     GenusNegativityError,
     GenusParityError,
-    check_morse_inequalities,
     enumerate_flows,
     flow_spec_from_json,
     flow_spec_to_json,
@@ -58,23 +58,50 @@ class TestGenusOfCounts:
                 genus_of_counts(nu, mu)
 
 
+def closed_form_betti(n: int, g: int) -> list[int]:
+    """beta(Sng(n, g)) = (1, g, 0, ..., 0, g, 1), with beta_1 = 2g when n = 2."""
+    beta = [1] + [0] * (n - 1) + [1]
+    beta[1] += g
+    beta[n - 1] += g
+    return beta
+
+
+def morse_detail_against_closed_form(spec: FlowSpec, g: int) -> str | None:
+    """The failure detail that c_i >= beta_i gives on the genus-g manifold,
+    or None when every inequality holds."""
+    violations = [f"c_{i} = {c} < beta_{i} = {b}"
+                  for i, (c, b) in enumerate(zip(spec.counts, closed_form_betti(spec.n, g)))
+                  if c < b]
+    return "; ".join(violations) or None
+
+
 class TestMorseInequalities:
     def test_no_violations(self):
         spec = FlowSpec(4, (1, 1, 0, 1, 1))
-        assert check_morse_inequalities(spec, 1) == []
+        report = validate_flow(spec)
+        assert report.genus == 1
+        assert report.check("morse_inequalities").passed
+        assert morse_detail_against_closed_form(spec, 1) is None
 
     def test_violation_in_degree_one(self):
-        spec = FlowSpec(4, (1, 0, 0, 1, 1))
-        assert check_morse_inequalities(spec, 1) == [(1, 0, 1)]
+        spec = FlowSpec(4, (1, 0, 0, 2, 1))
+        report = validate_flow(spec)
+        assert report.genus == 1
+        morse = report.check("morse_inequalities")
+        assert not morse.passed
+        assert morse.detail == morse_detail_against_closed_form(spec, 1) == "c_1 = 0 < beta_1 = 1"
 
     def test_sphere_flow(self):
         spec = FlowSpec(5, (1, 0, 0, 0, 0, 1))
-        assert check_morse_inequalities(spec, 0) == []
+        report = validate_flow(spec)
+        assert report.genus == 0
+        assert report.check("morse_inequalities").passed
+        assert morse_detail_against_closed_form(spec, 0) is None
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_public_check_agrees_with_validate_flow(self, data):
-        n = data.draw(st.integers(4, 8), label="n")
+    def test_check_agrees_with_closed_form_betti(self, data):
+        n = data.draw(st.integers(2, 8), label="n")
         g = data.draw(st.integers(0, 50), label="g")
         c0, cn = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
         # nu = 2g + mu - 2 saddles, split at random over the indices 1..n-1
@@ -84,7 +111,11 @@ class TestMorseInequalities:
         spec = FlowSpec(n, (c0, *saddles, cn))
         report = validate_flow(spec)
         assert report.genus == g
-        assert (check_morse_inequalities(spec, g) == []) == report.check("morse_inequalities").passed
+        morse = report.check("morse_inequalities")
+        expected = morse_detail_against_closed_form(spec, g)
+        assert morse.passed == (expected is None)
+        if expected is not None:
+            assert morse.detail == expected
 
 
 class TestObstructionCheck:
@@ -144,7 +175,7 @@ class TestObstructionCheck:
 
 
 CHECK_ORDER = ["genus", "index_restriction", "morse_inequalities",
-               "count_laws", "euler_characteristic"]
+               "euler_characteristic"]
 
 
 class TestValidateFlow:
@@ -165,14 +196,12 @@ class TestValidateFlow:
         assert not report.admissible
         assert report.genus is None
         assert report.k is None
-        # parity fails, the offending index-2 saddle is annotated, and the
-        # count laws are reported as unsatisfiable
+        # parity fails and the offending index-2 saddle is annotated
         assert not report.check("genus").passed
         index_check = report.check("index_restriction")
         assert not index_check.passed
         assert "c_2 = 1" in index_check.detail
         assert "intersection number" in index_check.detail
-        assert not report.check("count_laws").passed
         # chi must vanish in odd dimensions but the counts alternate to 1
         assert not report.check("euler_characteristic").passed
         # the Morse check is still reported, on genus-independent bounds
@@ -191,6 +220,37 @@ class TestValidateFlow:
         index_check = report.check("index_restriction")
         assert index_check.passed
         assert "dimension >= 4" in index_check.detail
+
+    @pytest.mark.parametrize("n, counts, detail", [
+        (2, (1, 2, 1), "dimension 2 < 4 has no saddle index in 2..n-2; the restriction "
+         "is asserted only for dimension >= 4"),
+        (3, (1, 1, 1, 1), "dimension 3 < 4 has no saddle index in 2..n-2; the restriction "
+         "is asserted only for dimension >= 4 (in dimension 3 the genus-0 case is known "
+         "classically)"),
+    ])
+    def test_low_dimension_index_restriction_wording(self, n, counts, detail):
+        index_check = validate_flow(FlowSpec(n, counts)).check("index_restriction")
+        assert index_check.passed
+        assert index_check.detail == detail
+
+    def test_genus_check_is_the_count_laws(self):
+        # The genus check passes exactly when integers g, k >= 0 solve
+        # nu = 2g + k and mu = k + 2, and then its detail names that k.
+        for n in range(2, 9):
+            for nu in range(21):
+                for mu in range(2, 11):
+                    spec = FlowSpec(n, (1, nu, *(0,) * (n - 2), mu - 1))
+                    solutions = [(g, k) for g in range(nu + 1) for k in range(nu + 1)
+                                 if nu == 2 * g + k and mu == k + 2]
+                    report = validate_flow(spec)
+                    genus = report.check("genus")
+                    assert genus.passed == bool(solutions), (n, nu, mu)
+                    if solutions:
+                        [(g, k)] = solutions
+                        assert (report.genus, report.k) == (g, k)
+                        assert re.search(r"\bk = (\d+)\b", genus.detail).group(1) == str(k)
+                    else:
+                        assert (report.genus, report.k) == (None, None)
 
     def test_morse_violation_reported(self):
         report = validate_flow(FlowSpec(4, (1, 0, 0, 2, 1)))

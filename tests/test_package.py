@@ -2,6 +2,8 @@ import ast
 import importlib
 import inspect
 import io
+import json
+import re
 import tokenize
 from pathlib import Path
 
@@ -69,3 +71,16 @@ class TestReadmeQuickstart:
             else:
                 exec(compile(ast.Module([node], []), "README", "exec"), namespace)
         assert checked >= 6
+
+
+class TestReadmeCheckFlowExample:
+    def test_report_block_is_the_validator_output(self):
+        """README's check-flow report is the JSON that check-flow prints for
+        the spec it names, broken only before each check after the first."""
+        text = README.read_text(encoding="utf-8")
+        match = re.search(r"The report for `(\{.*?\})` comes back", text)
+        assert match, "README names no spec for its check-flow report"
+        block = text[match.end():].split("```json\n", 1)[1].split("```", 1)[0]
+        report = flowtop.validate_flow(flowtop.flow_spec_from_json(json.loads(match.group(1))))
+        printed = json.dumps(flowtop.report_to_json(report))
+        assert block == printed.replace('}, {"name"', '},\n {"name"') + "\n"
