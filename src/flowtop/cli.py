@@ -156,7 +156,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_oracle_complex(args) -> int:
-    complex_ = complex_from_json(_load_json_file(args.complex))
+    complex_ = complex_from_json(_load_json_file(args.complex), args.max_dim)
     group = simplicial_homology(complex_)
     _emit(args, [_graded_json(group)], _graded_lines(group, complex_.dim))
     return 0
@@ -250,15 +250,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      "triangulate an expression and compute homology by "
                      "unit-pivot elimination and Smith normal form")
 
-    p = command("oracle-complex", _cmd_oracle_complex,
-                "simplicial homology of an explicit complex JSON file")
-    p.add_argument("complex", help="path to the complex JSON document")
+    oracle_complex = command("oracle-complex", _cmd_oracle_complex,
+                             "simplicial homology of an explicit complex JSON file")
+    oracle_complex.add_argument("complex", help="path to the complex JSON document")
 
     crosscheck = command("crosscheck", _cmd_crosscheck,
                          "compare the closed-form engine with the simplicial "
                          "oracle (exit 1 on mismatch)")
     for p in (oracle, crosscheck):
         p.add_argument("expr")
+    for p in (oracle, oracle_complex, crosscheck):
         p.add_argument("--max-dim", dest="max_dim", type=int, default=DEFAULT_MAX_ORACLE_DIM)
 
     return parser

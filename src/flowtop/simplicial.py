@@ -4,20 +4,11 @@ This is the independent verifier for the closed-form homology rules: a
 complex is a vertex order plus a facet list, the full face lattice is
 derived (a product generates it from its factors' lattices), and boundary
 matrices use the alternating-sign rule with lexicographically ordered
-bases.  Homology is computed exactly, torsion
-included.  The boundaries are reduced top-down, from d_top to d_1.  Each
-is reduced as sparse columns, left to right, each column on its lowest
-row: a +-1 there becomes a pivot, and the pivot rows are cleared from the
-few columns whose lowest entry is not a unit (exact over Z, and the
-invariant factors are unchanged).  Only those columns, the residual, go
-through dense Smith normal form.  The columns of the i-simplices that
-were pivot rows of d_{i+1} are cleared: they are integer combinations of
-the columns kept, so they are never built.  Of the kept columns, most are
-emergent pairs: the lowest row of the column of s is the row of s[1:],
-with entry +1, so when no earlier column pivots there the column is a
-pivot as it stands, and so, one subtraction deep, is a column that one
-emergent column reduces.  Such columns are built only if a later column
-subtracts them (see :func:`simplicial_homology`).
+bases.  Homology is computed exactly, torsion included: the boundaries
+are reduced top-down as sparse columns on their +-1 pivots, and only the
+residual, the few columns whose lowest entry is not a unit, goes through
+dense Smith normal form.  Clearing and emergent pairs leave most columns
+unbuilt (see :func:`simplicial_homology`).
 
 Constructors cover triangulated spheres, polygons, products (staircase
 triangulation) and connected sums; together they triangulate any manifold
@@ -28,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations, groupby, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -54,14 +45,16 @@ class SimplicialComplex:
     """Abstract simplicial complex over an ordered vertex set.
 
     The order of ``vertices`` is the total order that orients every
-    simplex; ``facets`` are the maximal simplices (faces are derived).
-    Facets listed more than once, or contained in a larger facet, are
-    dropped.
+    simplex; ``facets`` are the maximal simplices.  Facets listed more than
+    once, or contained in a larger facet, are dropped.  Faces are derived
+    a level at a time from the top, each once per coface; a complex over
+    ``max_dim``, if given, is refused before any face is made.
     """
 
     __slots__ = ("_labels", "_facets", "_simplices")
 
-    def __init__(self, vertices: Iterable[Hashable], facets: Iterable[Sequence[Hashable]]):
+    def __init__(self, vertices: Iterable[Hashable], facets: Iterable[Sequence[Hashable]],
+                 max_dim: int | None = None):
         labels = list(vertices)
         if not labels:
             raise ValueError("a complex needs at least one vertex")
@@ -71,34 +64,37 @@ class SimplicialComplex:
                 raise ValueError(f"repeated vertex label {lab!r}")
             index[lab] = pos
 
-        facet_set: set[tuple[int, ...]] = set()
+        by_size: dict[int, set[tuple[int, ...]]] = {}
         for facet in facets:
-            ixs = []
-            for lab in facet:
-                if lab not in index:
-                    raise ValueError(f"facet vertex {lab!r} is not in the vertex set")
-                ixs.append(index[lab])
-            if len(set(ixs)) != len(ixs):
+            try:
+                f = tuple(sorted(map(index.__getitem__, facet)))
+            except KeyError as exc:
+                raise ValueError(f"facet vertex {exc.args[0]!r} is not in the vertex set") from None
+            if len(set(f)) != len(f):
                 raise ValueError(f"facet {list(facet)!r} contains a repeated vertex")
-            if not ixs:
+            if not f:
                 raise ValueError("empty facet")
-            facet_set.add(tuple(sorted(ixs)))
-        if not facet_set:
+            by_size.setdefault(len(f), set()).add(f)
+        if not by_size:
             raise ValueError("a complex needs at least one facet")
-        # Largest first: a facet already in the lattice is a proper face of
-        # a larger one, so it is dropped and not expanded.
-        dim = max(map(len, facet_set)) - 1
-        lattice: list[set[tuple[int, ...]]] = [set() for _ in range(dim + 1)]
-        maximal = []
-        for f in sorted(facet_set, key=len, reverse=True):
-            if f not in lattice[len(f) - 1]:
-                maximal.append(f)
-                for size in range(1, len(f) + 1):
-                    lattice[size - 1].update(combinations(f, size))
+        dim = max(by_size) - 1
+        if max_dim is not None and dim > max_dim:
+            raise ValueError(f"complex has dimension {dim}, above the limit {max_dim}")
+        # A facet among the faces of the level above is not maximal.  Faces
+        # taken from a sorted level come out nearly sorted.
+        maximal: list[tuple[int, ...]] = []
+        lattice = []
+        level: list[tuple[int, ...]] = []
+        for size in range(dim + 1, 0, -1):
+            faces = dict.fromkeys(chain.from_iterable(map(combinations, level, repeat(size))))
+            new = [f for f in by_size.get(size, ()) if f not in faces]
+            maximal += new
+            level = sorted([*faces, *new])
+            lattice.append(level)
 
         self._labels = tuple(labels)
         self._facets = tuple(sorted(maximal))
-        self._simplices = [sorted(level) for level in lattice]
+        self._simplices = lattice[::-1]
 
     @classmethod
     def _from_lattice(cls, labels: tuple[Hashable, ...], facets: tuple[tuple[int, ...], ...],
@@ -589,7 +585,7 @@ def complex_to_json(K: SimplicialComplex) -> dict:
     }
 
 
-def complex_from_json(data: Any) -> SimplicialComplex:
+def complex_from_json(data: Any, max_dim: int | None = None) -> SimplicialComplex:
     """Build a complex from ``{"vertices": [...], "facets": [[...], ...]}``."""
     if not isinstance(data, dict):
         raise ValueError("complex must be a JSON object")
@@ -602,12 +598,14 @@ def complex_from_json(data: Any) -> SimplicialComplex:
     for f in facets:
         if not isinstance(f, list):
             raise ValueError("each facet must be a list of vertex labels")
-    kinds = set(map(type, chain(vertices, *facets)))
+    labs = list(chain.from_iterable(facets))
+    kinds = set(map(type, chain(vertices, labs)))
     if list in kinds or dict in kinds:
         raise ValueError("vertex labels must be JSON scalars, not lists or objects")
     # Python equates the distinct JSON labels 1, 1.0 and true; JSON does not.
-    typed = {(type(v), v) for v in vertices}
-    for lab in chain(*facets):
-        if (type(lab), lab) not in typed:
-            raise ValueError(f"facet vertex {lab!r} is not in the vertex set")
-    return SimplicialComplex(vertices, facets)
+    typed = set(zip(map(type, vertices), vertices))
+    if not typed.issuperset(zip(map(type, labs), labs)):
+        for lab in labs:
+            if (type(lab), lab) not in typed:
+                raise ValueError(f"facet vertex {lab!r} is not in the vertex set")
+    return SimplicialComplex(vertices, facets, max_dim)

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import flowtop
 from flowtop.cli import crosscheck_rows, main
+from flowtop.expressions import s_ng
 from flowtop.homology import GradedGroup
+from flowtop.simplicial import complex_to_json, triangulate
 
 from helpers import address_space_cap, nested_chains
 
@@ -376,6 +378,36 @@ class TestOracleComplexCommand:
         doc = json.loads(out)
         assert doc["ranks"] == {"0": 1}
         assert doc["torsion"] == {"1": [2]}
+
+    def test_dimension_guard_refuses_before_building_a_face(self, tmp_path, capsys):
+        # All 2^30 - 1 faces of one 30-vertex facet would need gigabytes.
+        path = tmp_path / "simplex.json"
+        path.write_text(json.dumps({"vertices": list(range(30)), "facets": [list(range(30))]}))
+        with address_space_cap():
+            result = run(capsys, "oracle-complex", str(path))
+        assert result == (2, "", "error: complex has dimension 29, above the limit 6\n")
+
+    @pytest.mark.parametrize("late, message", [
+        ([], "empty facet"),
+        ([0, 0], "facet [0, 0] contains a repeated vertex"),
+        ([30], "facet vertex 30 is not in the vertex set"),
+    ])
+    def test_a_malformed_document_is_named_before_its_dimension(self, tmp_path, capsys,
+                                                               late, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({"vertices": list(range(30)),
+                                    "facets": [list(range(30)), late]}))
+        assert run(capsys, "oracle-complex", str(path)) == (2, "", f"error: {message}\n")
+
+    def test_max_dim_override(self, tmp_path, capsys):
+        path = tmp_path / "s1xs6.json"
+        path.write_text(json.dumps(complex_to_json(triangulate(s_ng(7, 1)))))
+        assert run(capsys, "oracle-complex", str(path)) == (
+            2, "", "error: complex has dimension 7, above the limit 6\n")
+        code, out, _ = run(capsys, "oracle-complex", str(path), "--max-dim", "7",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"ranks": {"0": 1, "1": 1, "6": 1, "7": 1}, "torsion": {}}
 
 
 class TestCrosscheckCommand:

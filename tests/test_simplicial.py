@@ -101,19 +101,43 @@ class TestConstruction:
                 assert K.simplices(d) == sorted(faces), (seed, d)
             assert K.dim == max(map(len, maximal)) - 1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimplicialComplex([], [])
-        with pytest.raises(ValueError):
-            SimplicialComplex(["a", "a"], [["a"]])
-        with pytest.raises(ValueError):
-            SimplicialComplex(["a"], [["a", "b"]])
-        with pytest.raises(ValueError):
-            SimplicialComplex(["a", "b"], [["a", "a"]])
-        with pytest.raises(ValueError):
-            SimplicialComplex(["a"], [])
-        with pytest.raises(ValueError, match="empty facet"):
-            SimplicialComplex(["a", "b"], [["a", "b"], []])
+    @pytest.mark.parametrize("vertices, facets, message", [
+        ([], [], "a complex needs at least one vertex"),
+        ([], [["a"]], "a complex needs at least one vertex"),
+        (["a", "b", "a", "b"], [["a"]], "repeated vertex label 'a'"),
+        (["a", "a"], [["z"]], "repeated vertex label 'a'"),
+        (["a"], [["a", "b"]], "facet vertex 'b' is not in the vertex set"),
+        (["a", "b"], [["a", "z", "y"]], "facet vertex 'z' is not in the vertex set"),
+        (["a", "b"], [["b", "a", "b"]], "facet ['b', 'a', 'b'] contains a repeated vertex"),
+        (["a", "b"], [["a", "a", "z"]], "facet vertex 'z' is not in the vertex set"),
+        (["a"], [], "a complex needs at least one facet"),
+        (["a", "b"], [["a", "b"], []], "empty facet"),
+        # The first faulty facet in input order is the one named.
+        (["a", "b"], [["a", "b"], [], ["z"]], "empty facet"),
+        (["a", "b"], [["a"], ["z"], []], "facet vertex 'z' is not in the vertex set"),
+        (["a", "b"], [["b", "b"], ["z"]], "facet ['b', 'b'] contains a repeated vertex"),
+        (["a", "b"], [[], ["a", "a"]], "empty facet"),
+    ])
+    def test_validation(self, vertices, facets, message):
+        with pytest.raises(ValueError) as info:
+            SimplicialComplex(vertices, facets)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("facets, message", [
+        ([range(30)], "complex has dimension 29, above the limit 28"),
+        # A faulty facet is named first, wherever it is.
+        ([range(30), [0, 0]], "facet [0, 0] contains a repeated vertex"),
+        ([[0, 1], range(30), []], "empty facet"),
+    ])
+    def test_max_dim_refuses_before_building_a_face(self, facets, message):
+        # All 2^30 - 1 faces of a 30-vertex facet would need gigabytes.
+        with address_space_cap(), pytest.raises(ValueError) as info:
+            SimplicialComplex(range(30), facets, max_dim=28)
+        assert str(info.value) == message
+
+    def test_max_dim_is_the_largest_dimension_built(self):
+        K = SimplicialComplex(range(8), [range(8)], max_dim=7)
+        assert [K.n_simplices(d) for d in range(8)] == [8, 28, 56, 70, 56, 28, 8, 1]
 
 
 class TestSphereAndCircle:
@@ -858,6 +882,16 @@ class TestGluing:
         K = make()
         assert K.vertices == tuple(range(len(K.vertices)))
         assert_same_complex(K, SimplicialComplex(K.vertices, K.facets))
+        # The same facets shuffled, each written backwards, a quarter listed
+        # twice and a quarter joined by a proper face in random order.
+        rng = random.Random(len(K.facets))
+        facets = [f[::-1] for f in K.facets]
+        twice = rng.sample(facets, len(facets) // 4)
+        faces = [rng.sample(f, rng.randrange(1, len(f)))
+                 for f in rng.sample(facets, len(facets) // 4)]
+        facets += twice + faces
+        rng.shuffle(facets)
+        assert_same_complex(K, SimplicialComplex(K.vertices, facets))
 
 
 def staircase_reference(K, L):
@@ -975,6 +1009,9 @@ class TestStaircaseLattice:
         assert all(f is s for f, s in zip(K._facets, top))
 
 
+SCALARS = "vertex labels must be JSON scalars, not lists or objects"
+
+
 class TestJson:
     def test_round_trip(self):
         K = projective_plane_complex()
@@ -988,24 +1025,41 @@ class TestJson:
         assert doc["vertices"] == ["0", "1", "2"]
         assert [sorted(f) for f in doc["facets"]] == [["0", "1"], ["0", "2"], ["1", "2"]]
 
-    @pytest.mark.parametrize("doc", [
-        [],
-        {"vertices": ["a"]},
-        {"facets": [["a"]]},
-        {"vertices": "ab", "facets": [["a"]]},
-        {"vertices": ["a"], "facets": [["a", "b"]]},
-        {"vertices": ["a", "b"], "facets": "ab"},
-        {"vertices": [[1], [2]], "facets": [[[1], [2]]]},
-        {"vertices": [1, 2], "facets": [[1, {"a": 2}]]},
-        {"vertices": [{}], "facets": [[0]]},
-        {"vertices": ["a", 1, "c"], "facets": [["a", True], [1.0, "c"], ["c", "a"]]},
-        {"vertices": [1], "facets": [1]},
-        {"vertices": [1, 2], "facets": [[1, 2], "12"]},
-        {"vertices": [1, 2], "facets": [[]]},
+    @pytest.mark.parametrize("doc, message", [
+        ([], "complex must be a JSON object"),
+        ({"vertices": ["a"]}, "complex needs 'vertices' and 'facets' fields"),
+        ({"facets": [["a"]]}, "complex needs 'vertices' and 'facets' fields"),
+        ({"vertices": "ab", "facets": [["a"]]}, "'vertices' and 'facets' must be lists"),
+        ({"vertices": ["a"], "facets": [["a", "b"]]}, "facet vertex 'b' is not in the vertex set"),
+        ({"vertices": ["a", "b"], "facets": "ab"}, "'vertices' and 'facets' must be lists"),
+        ({"vertices": [[1], [2]], "facets": [[[1], [2]]]}, SCALARS),
+        ({"vertices": [1, 2], "facets": [[1, {"a": 2}]]}, SCALARS),
+        ({"vertices": [{}], "facets": [[0]]}, SCALARS),
+        ({"vertices": ["a", 1, "c"], "facets": [["a", True], [1.0, "c"], ["c", "a"]]},
+         "facet vertex True is not in the vertex set"),
+        ({"vertices": [1], "facets": [1]}, "each facet must be a list of vertex labels"),
+        ({"vertices": [1, 2], "facets": [[1, 2], "12"]}, "each facet must be a list of vertex labels"),
+        ({"vertices": [1, 2], "facets": [[]]}, "empty facet"),
+        ({"vertices": [], "facets": [[1]]}, "facet vertex 1 is not in the vertex set"),
+        ({"vertices": [], "facets": []}, "a complex needs at least one vertex"),
+        ({"vertices": [1, 2], "facets": []}, "a complex needs at least one facet"),
+        # Labels are matched before the vertex set is checked for repeats.
+        ({"vertices": [1, 1], "facets": [[2]]}, "facet vertex 2 is not in the vertex set"),
+        ({"vertices": [1, 2, 1], "facets": [[1]]}, "repeated vertex label 1"),
+        ({"vertices": [1, True], "facets": [[1]]}, "repeated vertex label True"),
+        ({"vertices": [1, 2], "facets": [[2, 1, 2]]}, "facet [2, 1, 2] contains a repeated vertex"),
+        # Every label is matched before any facet is read, in input order.
+        ({"vertices": [1, 2], "facets": [[], [2, 3], [4]]}, "facet vertex 3 is not in the vertex set"),
+        ({"vertices": [1, 2], "facets": [[1, 1], [], [1, 2.0]]},
+         "facet vertex 2.0 is not in the vertex set"),
+        ({"vertices": [1, 2], "facets": [[1, 1], []]}, "facet [1, 1] contains a repeated vertex"),
+        ({"vertices": [None, "x"], "facets": [[None], ["x", "x"], []]},
+         "facet ['x', 'x'] contains a repeated vertex"),
     ])
-    def test_malformed_documents(self, doc):
-        with pytest.raises(ValueError):
+    def test_malformed_documents(self, doc, message):
+        with pytest.raises(ValueError) as info:
             complex_from_json(doc)
+        assert str(info.value) == message
 
 
 class TestGradedGroupReuse:
