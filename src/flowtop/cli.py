@@ -29,7 +29,7 @@ from .simplicial import complex_from_json, simplicial_homology, triangulate
 
 DEFAULT_MAX_ORACLE_DIM = 6
 
-__all__ = ["main", "entry"]
+__all__ = ["main"]
 
 
 def _resolved_format(args) -> str:
@@ -139,26 +139,25 @@ def _cmd_obstruction(args) -> int:
 
 
 def _oracle(args):
-    """Parse ``args.expr``, refuse it above ``--max-dim``, triangulate it and
-    run the simplicial oracle; returns the expression and its homology."""
-    expr = parse_manifold(args.expr)
-    if expr.dim > args.max_dim:
-        raise ValueError(
-            f"expression has dimension {_decimal(expr.dim)}, outside the constructible family "
-            f"(limit {args.max_dim}); raise it with --max-dim if you really want this")
-    return expr, simplicial_homology(triangulate(expr))
+    """Every oracle command's complex: ``args.expr`` parsed, refused above
+    ``--max-dim`` and triangulated, or the ``args.complex`` file built under
+    that limit.  Returns the expression (None for a file), the dimension and
+    the homology."""
+    if "complex" in args:
+        expr, K = None, complex_from_json(_load_json_file(args.complex), args.max_dim)
+    else:
+        expr = parse_manifold(args.expr)
+        if expr.dim > args.max_dim:
+            raise ValueError(
+                f"expression has dimension {_decimal(expr.dim)}, outside the constructible family "
+                f"(limit {args.max_dim}); raise it with --max-dim if you really want this")
+        K = triangulate(expr)
+    return expr, K.dim, simplicial_homology(K)
 
 
 def _cmd_oracle(args) -> int:
-    expr, group = _oracle(args)
-    _emit(args, [_graded_json(group)], _graded_lines(group, expr.dim))
-    return 0
-
-
-def _cmd_oracle_complex(args) -> int:
-    complex_ = complex_from_json(_load_json_file(args.complex), args.max_dim)
-    group = simplicial_homology(complex_)
-    _emit(args, [_graded_json(group)], _graded_lines(group, complex_.dim))
+    _, dim, group = _oracle(args)
+    _emit(args, [_graded_json(group)], _graded_lines(group, dim))
     return 0
 
 
@@ -182,8 +181,8 @@ def crosscheck_rows(engine: GradedGroup, oracle: GradedGroup, top: int) -> list[
 
 
 def _cmd_crosscheck(args) -> int:
-    expr, oracle = _oracle(args)
-    rows = crosscheck_rows(homology(expr), oracle, expr.dim)
+    expr, dim, oracle = _oracle(args)
+    rows = crosscheck_rows(homology(expr), oracle, dim)
     all_match = all(row["match"] for row in rows)
     human = []
     for row in rows:
@@ -250,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      "triangulate an expression and compute homology by "
                      "unit-pivot elimination and Smith normal form")
 
-    oracle_complex = command("oracle-complex", _cmd_oracle_complex,
+    oracle_complex = command("oracle-complex", _cmd_oracle,
                              "simplicial homology of an explicit complex JSON file")
     oracle_complex.add_argument("complex", help="path to the complex JSON document")
 
@@ -293,7 +292,3 @@ def main(argv: list[str] | None = None) -> int:
         print("error: the result does not fit in memory", file=sys.stderr)
         return 2
     return status
-
-
-def entry() -> None:
-    raise SystemExit(main())

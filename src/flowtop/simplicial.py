@@ -17,7 +17,7 @@ expression via :func:`triangulate`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, groupby, repeat
 from operator import itemgetter
@@ -152,10 +152,6 @@ class SimplicialComplex:
         signs = [-1 if j % 2 else 1 for j in range(i, -1, -1)]
         return face_row, lambda s: dict(zip(map(face_row, combinations(s, i)), signs))
 
-    def _boundary_columns(self, i: int) -> Iterator[dict[int, int]]:
-        """The columns of the i-th boundary, in basis order."""
-        return map(self._boundary_of(i)[1], self._simplices[i])
-
     def boundary_matrix(self, i: int) -> IntegerMatrix:
         """Sparse matrix of the i-th boundary operator, 1 <= i <= dim.
 
@@ -168,7 +164,8 @@ class SimplicialComplex:
         """
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.dim:
             raise ValueError(f"boundary degree must lie in 1..{self.dim}, got {i!r}")
-        return IntegerMatrix._of(list(self._boundary_columns(i)), len(self._simplices[i - 1]))
+        return IntegerMatrix._of(list(map(self._boundary_of(i)[1], self._simplices[i])),
+                                 len(self._simplices[i - 1]))
 
     def __repr__(self) -> str:
         counts = [len(level) for level in self._simplices]
@@ -602,10 +599,11 @@ def complex_from_json(data: Any, max_dim: int | None = None) -> SimplicialComple
     kinds = set(map(type, chain(vertices, labs)))
     if list in kinds or dict in kinds:
         raise ValueError("vertex labels must be JSON scalars, not lists or objects")
+    K = SimplicialComplex(vertices, facets, max_dim)
     # Python equates the distinct JSON labels 1, 1.0 and true; JSON does not.
     typed = set(zip(map(type, vertices), vertices))
     if not typed.issuperset(zip(map(type, labs), labs)):
         for lab in labs:
             if (type(lab), lab) not in typed:
                 raise ValueError(f"facet vertex {lab!r} is not in the vertex set")
-    return SimplicialComplex(vertices, facets, max_dim)
+    return K

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import flowtop
 from flowtop.cli import crosscheck_rows, main
-from flowtop.expressions import s_ng
+from flowtop.expressions import parse_manifold, s_ng
 from flowtop.homology import GradedGroup
 from flowtop.simplicial import complex_to_json, triangulate
 
@@ -408,6 +408,24 @@ class TestOracleComplexCommand:
                            "--format", "json")
         assert code == 0
         assert json.loads(out) == {"ranks": {"0": 1, "1": 1, "6": 1, "7": 1}, "torsion": {}}
+
+
+class TestOnePathIntoTheOracle:
+    @pytest.mark.parametrize("expr", ["Sng(4,2)", "S3 x S2", "S2 x S1 x S1"])
+    def test_a_triangulation_file_answers_as_its_expression(self, tmp_path, capsys, expr):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(complex_to_json(triangulate(parse_manifold(expr)))))
+        for fmt in ("human", "json"):
+            code, out, err = run(capsys, "oracle", expr, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert run(capsys, "oracle-complex", str(path), "--format", fmt) == (0, out, "")
+        dim = parse_manifold(expr).dim
+        limit = str(dim - 1)
+        assert run(capsys, "oracle", expr, "--max-dim", limit) == (
+            2, "", f"error: expression has dimension {dim}, outside the constructible "
+                   f"family (limit {limit}); raise it with --max-dim if you really want this\n")
+        assert run(capsys, "oracle-complex", str(path), "--max-dim", limit) == (
+            2, "", f"error: complex has dimension {dim}, above the limit {limit}\n")
 
 
 class TestCrosscheckCommand:

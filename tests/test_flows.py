@@ -266,6 +266,19 @@ class TestValidateFlow:
         assert report.check("morse_inequalities").passed
         assert not report.check("euler_characteristic").passed
 
+    def test_even_dimension_euler_is_not_evaluated_without_a_genus(self):
+        # nu - mu = 1 - 2 is odd: no genus, so chi = 2 - 2g names no number.
+        # The genus check is the one fault, not repeated by the Euler check.
+        report = validate_flow(FlowSpec(4, (1, 1, 0, 0, 1)))
+        assert not report.admissible
+        assert (report.genus, report.k) == (None, None)
+        assert not report.check("genus").passed
+        euler = report.check("euler_characteristic")
+        assert euler.passed
+        assert euler.detail == ("genus undefined; the Euler characteristic 2 - 2g "
+                                "is not evaluated")
+        assert [c.name for c in report.checks if not c.passed] == ["genus"]
+
     def test_requires_no_heteroclinic(self):
         spec = FlowSpec(4, (1, 1, 0, 1, 1), no_heteroclinic=False)
         with pytest.raises(ValueError):

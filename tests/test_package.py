@@ -4,8 +4,11 @@ import inspect
 import io
 import json
 import re
+import sys
 import tokenize
 from pathlib import Path
+
+import pytest
 
 import flowtop
 
@@ -15,6 +18,7 @@ MODULES = [importlib.import_module(f"flowtop.{name}")
            for name in ("expressions", "flows", "homology", "simplicial", "snf")]
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 
 class TestPublicSurface:
@@ -84,3 +88,22 @@ class TestReadmeCheckFlowExample:
         report = flowtop.validate_flow(flowtop.flow_spec_from_json(json.loads(match.group(1))))
         printed = json.dumps(flowtop.report_to_json(report))
         assert block == printed.replace('}, {"name"', '},\n {"name"') + "\n"
+
+
+class TestConsoleScript:
+    @pytest.mark.parametrize("argv, code, out", [
+        (["betti", "Sng(6,4)", "--degree", "5"], 0, "4\n"),
+        (["crosscheck", "S7"], 2, ""),
+    ])
+    def test_target_exits_with_what_it_returns(self, monkeypatch, capsys, argv, code, out):
+        """The ``flowtop`` script as installers generate it: import the
+        ``[project.scripts]`` target and pass what it returns to sys.exit.
+        The file is read as text, since Python 3.10 has no tomllib."""
+        section = PYPROJECT.read_text(encoding="utf-8").split("[project.scripts]\n", 1)[1]
+        module, name = re.match(r'flowtop = "([\w.]+):(\w+)"\n', section).groups()
+        target = getattr(importlib.import_module(module), name)
+        monkeypatch.setattr(sys, "argv", ["flowtop", *argv])
+        with pytest.raises(SystemExit) as info:
+            sys.exit(target())
+        assert info.value.code == code
+        assert capsys.readouterr().out == out

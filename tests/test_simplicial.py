@@ -641,7 +641,7 @@ class TestLowPivotReduction:
 
     def test_top_boundary_of_a_closed_orientable_manifold(self):
         K = triangulate(parse_manifold("S1 x S1 x S1 x S1"))
-        columns = list(K._boundary_columns(4))
+        columns = K.boundary_matrix(4)._cols
         pivots, residual = eliminate(columns)
         assert len(pivots) == K.n_simplices(4) - 1
         assert residual.shape == (0, 0)
@@ -655,7 +655,7 @@ class TestLowPivotReduction:
     def test_boundary_columns_match_the_reference(self, make):
         K = make()
         for i in range(1, K.dim + 1):
-            assert list(K._boundary_columns(i)) == full_boundary_columns(K, i), i
+            assert K.boundary_matrix(i)._cols == full_boundary_columns(K, i), i
 
 
 def lowest_entry_cases(rng):
@@ -689,7 +689,7 @@ class TestEmergentPairs:
         for K in lowest_entry_cases(random.Random(seed)):
             for i in range(1, K.dim + 1):
                 row_of = {face: r for r, face in enumerate(K.simplices(i - 1))}
-                for s, col in zip(K.simplices(i), K._boundary_columns(i)):
+                for s, col in zip(K.simplices(i), K.boundary_matrix(i)._cols):
                     low = max(col)
                     assert low == row_of[s[1:]] and col[low] == 1, (K, i, s)
 
@@ -1012,6 +1012,60 @@ class TestStaircaseLattice:
 SCALARS = "vertex labels must be JSON scalars, not lists or objects"
 
 
+MALFORMED_DOCUMENTS = [
+    ([], "complex must be a JSON object"),
+    ({"vertices": ["a"]}, "complex needs 'vertices' and 'facets' fields"),
+    ({"facets": [["a"]]}, "complex needs 'vertices' and 'facets' fields"),
+    ({"vertices": "ab", "facets": [["a"]]}, "'vertices' and 'facets' must be lists"),
+    ({"vertices": ["a"], "facets": [["a", "b"]]}, "facet vertex 'b' is not in the vertex set"),
+    ({"vertices": ["a", "b"], "facets": "ab"}, "'vertices' and 'facets' must be lists"),
+    ({"vertices": [[1], [2]], "facets": [[[1], [2]]]}, SCALARS),
+    ({"vertices": [1, 2], "facets": [[1, {"a": 2}]]}, SCALARS),
+    ({"vertices": [{}], "facets": [[0]]}, SCALARS),
+    ({"vertices": ["a", 1, "c"], "facets": [["a", True], [1.0, "c"], ["c", "a"]]},
+     "facet vertex True is not in the vertex set"),
+    ({"vertices": [1], "facets": [1]}, "each facet must be a list of vertex labels"),
+    ({"vertices": [1, 2], "facets": [[1, 2], "12"]}, "each facet must be a list of vertex labels"),
+    ({"vertices": [1, 2], "facets": [[]]}, "empty facet"),
+    ({"vertices": [], "facets": [[1]]}, "a complex needs at least one vertex"),
+    ({"vertices": [], "facets": []}, "a complex needs at least one vertex"),
+    ({"vertices": [1, 2], "facets": []}, "a complex needs at least one facet"),
+    # The vertex set is checked for repeats before any facet is read.
+    ({"vertices": [1, 1], "facets": [[2]]}, "repeated vertex label 1"),
+    ({"vertices": [1, 2, 1], "facets": [[1]]}, "repeated vertex label 1"),
+    ({"vertices": [1, True], "facets": [[1]]}, "repeated vertex label True"),
+    ({"vertices": [1, 2], "facets": [[2, 1, 2]]}, "facet [2, 1, 2] contains a repeated vertex"),
+    # Facets are read in input order, each fault named at its facet, and
+    # JSON's typed label identity is applied only after the constructor.
+    ({"vertices": [1, 2], "facets": [[], [2, 3], [4]]}, "empty facet"),
+    ({"vertices": [1, 2], "facets": [[1, 1], [], [1, 2.0]]},
+     "facet [1, 1] contains a repeated vertex"),
+    ({"vertices": [1, 2], "facets": [[1, 1], []]}, "facet [1, 1] contains a repeated vertex"),
+    ({"vertices": [None, "x"], "facets": [[None], ["x", "x"], []]},
+     "facet ['x', 'x'] contains a repeated vertex"),
+]
+
+
+def constructor_decides(doc):
+    """Whether ``doc`` passes complex_from_json's own checks of shape and
+    scalar labels, and every facet label equal to a vertex label also has
+    its JSON type, so that the constructor alone can refuse it."""
+    if not isinstance(doc, dict) or not {"vertices", "facets"} <= doc.keys():
+        return False
+    vertices, facets = doc["vertices"], doc["facets"]
+    if not (isinstance(vertices, list) and isinstance(facets, list)
+            and all(isinstance(f, list) for f in facets)):
+        return False
+    labels = vertices + [v for f in facets for v in f]
+    if any(isinstance(v, (list, dict)) for v in labels):
+        return False
+    typed = {(type(v), v) for v in vertices}
+    return all((type(v), v) in typed for f in facets for v in f if v in vertices)
+
+
+CONSTRUCTOR_DOCUMENTS = [doc for doc, _ in MALFORMED_DOCUMENTS if constructor_decides(doc)]
+
+
 class TestJson:
     def test_round_trip(self):
         K = projective_plane_complex()
@@ -1025,41 +1079,27 @@ class TestJson:
         assert doc["vertices"] == ["0", "1", "2"]
         assert [sorted(f) for f in doc["facets"]] == [["0", "1"], ["0", "2"], ["1", "2"]]
 
-    @pytest.mark.parametrize("doc, message", [
-        ([], "complex must be a JSON object"),
-        ({"vertices": ["a"]}, "complex needs 'vertices' and 'facets' fields"),
-        ({"facets": [["a"]]}, "complex needs 'vertices' and 'facets' fields"),
-        ({"vertices": "ab", "facets": [["a"]]}, "'vertices' and 'facets' must be lists"),
-        ({"vertices": ["a"], "facets": [["a", "b"]]}, "facet vertex 'b' is not in the vertex set"),
-        ({"vertices": ["a", "b"], "facets": "ab"}, "'vertices' and 'facets' must be lists"),
-        ({"vertices": [[1], [2]], "facets": [[[1], [2]]]}, SCALARS),
-        ({"vertices": [1, 2], "facets": [[1, {"a": 2}]]}, SCALARS),
-        ({"vertices": [{}], "facets": [[0]]}, SCALARS),
-        ({"vertices": ["a", 1, "c"], "facets": [["a", True], [1.0, "c"], ["c", "a"]]},
-         "facet vertex True is not in the vertex set"),
-        ({"vertices": [1], "facets": [1]}, "each facet must be a list of vertex labels"),
-        ({"vertices": [1, 2], "facets": [[1, 2], "12"]}, "each facet must be a list of vertex labels"),
-        ({"vertices": [1, 2], "facets": [[]]}, "empty facet"),
-        ({"vertices": [], "facets": [[1]]}, "facet vertex 1 is not in the vertex set"),
-        ({"vertices": [], "facets": []}, "a complex needs at least one vertex"),
-        ({"vertices": [1, 2], "facets": []}, "a complex needs at least one facet"),
-        # Labels are matched before the vertex set is checked for repeats.
-        ({"vertices": [1, 1], "facets": [[2]]}, "facet vertex 2 is not in the vertex set"),
-        ({"vertices": [1, 2, 1], "facets": [[1]]}, "repeated vertex label 1"),
-        ({"vertices": [1, True], "facets": [[1]]}, "repeated vertex label True"),
-        ({"vertices": [1, 2], "facets": [[2, 1, 2]]}, "facet [2, 1, 2] contains a repeated vertex"),
-        # Every label is matched before any facet is read, in input order.
-        ({"vertices": [1, 2], "facets": [[], [2, 3], [4]]}, "facet vertex 3 is not in the vertex set"),
-        ({"vertices": [1, 2], "facets": [[1, 1], [], [1, 2.0]]},
-         "facet vertex 2.0 is not in the vertex set"),
-        ({"vertices": [1, 2], "facets": [[1, 1], []]}, "facet [1, 1] contains a repeated vertex"),
-        ({"vertices": [None, "x"], "facets": [[None], ["x", "x"], []]},
-         "facet ['x', 'x'] contains a repeated vertex"),
-    ])
+    @pytest.mark.parametrize("doc, message", MALFORMED_DOCUMENTS)
     def test_malformed_documents(self, doc, message):
         with pytest.raises(ValueError) as info:
             complex_from_json(doc)
         assert str(info.value) == message
+
+    def test_every_constructor_document_is_picked(self):
+        # 24 documents: 10 fail a check of shape or scalar labels, and 2
+        # hold a facet label equal to a vertex label of another JSON type.
+        assert len(MALFORMED_DOCUMENTS) == 24
+        assert len(CONSTRUCTOR_DOCUMENTS) == 12
+
+    @pytest.mark.parametrize("doc", CONSTRUCTOR_DOCUMENTS)
+    def test_refused_as_the_constructor_refuses(self, doc):
+        # complex_from_json names a document's first fault in the order the
+        # constructor reads it, whatever its own checks add.
+        with pytest.raises(ValueError) as from_json:
+            complex_from_json(doc)
+        with pytest.raises(ValueError) as constructed:
+            SimplicialComplex(doc["vertices"], doc["facets"])
+        assert str(from_json.value) == str(constructed.value)
 
 
 class TestGradedGroupReuse:
