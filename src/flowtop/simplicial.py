@@ -8,7 +8,10 @@ bases.  Homology is computed exactly, torsion included: the boundaries
 are reduced top-down as sparse columns on their +-1 pivots, and only the
 residual, the few columns whose lowest entry is not a unit, goes through
 dense Smith normal form.  Clearing and emergent pairs leave most columns
-unbuilt (see :func:`simplicial_homology`).
+unbuilt (see :func:`simplicial_homology`).  The top boundary of a closed
+pseudomanifold, every (top-1)-face in exactly two top simplices, builds
+none: its rank, its factors 2 and the rows it clears come from a spanning
+forest of the dual graph (:func:`_dual_forest`).
 
 Constructors cover triangulated spheres, polygons, products (staircase
 triangulation) and connected sums; together they triangulate any manifold
@@ -17,10 +20,10 @@ expression via :func:`triangulate`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Container, Hashable, Iterable, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, groupby, repeat
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Any
 
 from .expressions import ConnSum, ManifoldExpr, Product, SphereAtom
@@ -55,6 +58,14 @@ class SimplicialComplex:
 
     def __init__(self, vertices: Iterable[Hashable], facets: Iterable[Sequence[Hashable]],
                  max_dim: int | None = None):
+        self._build(vertices, facets, max_dim, typed=False)
+
+    def _build(self, vertices: Iterable[Hashable], facets: Iterable[Sequence[Hashable]],
+               max_dim: int | None, typed: bool) -> None:
+        """The constructor.  With ``typed``, a facet label names a vertex
+        only if it also has that vertex's type, as in JSON, where 1, 1.0
+        and true are distinct; vertex labels that Python equates are
+        still refused as repeated."""
         labels = list(vertices)
         if not labels:
             raise ValueError("a complex needs at least one vertex")
@@ -63,13 +74,17 @@ class SimplicialComplex:
             if lab in index:
                 raise ValueError(f"repeated vertex label {lab!r}")
             index[lab] = pos
+        if typed:
+            index = dict(zip(zip(map(type, labels), labels), range(len(labels))))
 
         by_size: dict[int, set[tuple[int, ...]]] = {}
         for facet in facets:
             try:
-                f = tuple(sorted(map(index.__getitem__, facet)))
+                f = tuple(sorted(map(index.__getitem__,
+                                     zip(map(type, facet), facet) if typed else facet)))
             except KeyError as exc:
-                raise ValueError(f"facet vertex {exc.args[0]!r} is not in the vertex set") from None
+                lab = exc.args[0][1] if typed else exc.args[0]
+                raise ValueError(f"facet vertex {lab!r} is not in the vertex set") from None
             if len(set(f)) != len(f):
                 raise ValueError(f"facet {list(facet)!r} contains a repeated vertex")
             if not f:
@@ -310,6 +325,104 @@ def _subtract(col: dict[int, int], pivot: dict[int, int], q: int, heap: list[int
             heappush(heap, -r)
 
 
+def _dual_forest(K: SimplicialComplex) -> tuple[set[int], int] | None:
+    """The rows that d_top clears and its number of factors 2, read off the
+    dual graph of K when every (top-1)-face has exactly two cofaces; None
+    otherwise, having built nothing but the face table.
+
+    Each row of d_top then holds two entries +-1, so d_top is the signed
+    incidence matrix of a graph: the nodes are the top simplices and each
+    (top-1)-face is an edge between its two cofaces.  A union-find with
+    parity visits the edges in decreasing row order (Kruskal, for a maximum
+    spanning forest) and signs each node of a tree so that the tree's edges
+    cancel: edge r, with entries s_a and s_b at its ends, cancels when
+    sigma_a s_a + sigma_b s_b = 0.  An edge that joins two trees is a tree
+    edge, and its row is cleared.  An edge inside one tree that does not
+    cancel under its signs makes that component non-orientable.
+
+    Clearing stays valid for any spanning forest.  Cut a tree edge e and
+    take the subtree below it.  The chain sum of sigma_v v over the
+    subtree's nodes has its boundary in ker d_{top-1}, and that boundary is
+    +-1 on e and 0 on every other tree edge: a tree edge inside the subtree
+    cancels, and one outside it does not touch it.  So on the cleared rows
+    these boundaries form a signed identity block Z_R, which is unimodular,
+    and the clearing argument of :func:`simplicial_homology` holds.
+
+    The invariant factors are exact: 1s, plus one 2 per non-orientable
+    component.  Scaling the columns by the signs sigma is unimodular and
+    makes every tree row +-(e_a - e_b).  The tree rows of a component span,
+    over Z, the vectors on its nodes with coordinate sum 0.  Every other row
+    is +-(e_a - e_b), which they span already, or +-(e_a + e_b), which adds
+    2 e_b.  So the component's rows span the sum-0 lattice, or the lattice
+    of even coordinate sum if it is non-orientable: invariant factors 1,
+    and one 2 in the second case.  rank d_top is the number of tree edges
+    plus the number of non-orientable components.
+
+    The decreasing order keeps the elimination's cleared rows on orientable
+    inputs; this is persistence duality.  Over Q, column reduction on lowest
+    rows pairs the same positions in a matrix and, mirrored, in its
+    anti-transpose, since a lower-left block of one is a transposed
+    lower-left block of the other and has the same rank.  The anti-transpose
+    of d_top is the graph's boundary matrix with its edges in decreasing
+    order as columns, where an edge is a pivot column exactly when it is
+    independent of the edges before it: on an orientable component, when it
+    joins two trees.  The elimination takes the pivots of the reduction
+    over Q while every lowest entry it meets is +-1.  On a non-orientable
+    component it may leave to its residual a row that is a tree edge here;
+    the rank, the factors and the clearing above hold either way.
+
+    The table is built in C-level passes: the faces of every top simplex,
+    in the ``combinations`` order that :meth:`SimplicialComplex._boundary_of`
+    signs, go through that method's face index, and one argsort of the
+    incidences brings each row's two cofaces together.
+    """
+    top = K.dim
+    cells = K._simplices[top]
+    n_rows = len(K._simplices[top - 1])
+    width = top + 1
+    if 2 * n_rows != width * len(cells):
+        return None
+    face_row = K._boundary_of(top)[0]
+    # Incidence k is face k % width of simplex k // width, whose sign is
+    # (-1)^(top - k % width).
+    rows = list(map(face_row, chain.from_iterable(map(combinations, cells, repeat(top)))))
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    # each row twice: sorted, the rows read 0, 0, 1, 1, ...
+    ordered = list(map(rows.__getitem__, order))
+    evens = ordered[::2]
+    if evens != ordered[1::2] or not all(map(eq, evens, range(n_rows))):
+        return None
+    parent = list(range(len(cells)))
+    flip = [0] * len(cells)  # sigma_v sigma_parent(v) = (-1)^flip[v]
+    size = [1] * len(cells)
+    twisted = [False] * len(cells)  # of a root: its component is non-orientable
+    tree = set()
+    # zip over one iterator twice reads it in pairs: each row's two cofaces
+    incidences = map(divmod, reversed(order), repeat(width))
+    for r, (a, ma), (b, mb) in zip(range(n_rows - 1, -1, -1), incidences, incidences):
+        # row r cancels when sigma_a sigma_b = (-1)^want; walking up to the
+        # roots turns that into the relation the roots need
+        want = (ma ^ mb ^ 1) & 1
+        while parent[a] != a:
+            want ^= flip[a]
+            a = parent[a]
+        while parent[b] != b:
+            want ^= flip[b]
+            b = parent[b]
+        if a == b:
+            if want:
+                twisted[a] = True
+            continue
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        flip[b] = want
+        size[a] += size[b]
+        twisted[a] = twisted[a] or twisted[b]
+        tree.add(r)
+    return tree, sum(1 for v, p in enumerate(parent) if v == p and twisted[v])
+
+
 def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     """Integer homology of K from the invariant factors of its boundary maps.
 
@@ -319,6 +432,15 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     the number of pivots plus the residual's rank.  rank H_i = (#i-simplices) - rank d_i -
     rank d_{i+1}, and the torsion of H_i is the set of invariant factors of
     d_{i+1} exceeding 1, all of which come from the residual.
+
+    A closed pseudomanifold, where every (top-1)-face has exactly two
+    cofaces, as every triangulated closed manifold here does, has its d_top
+    read off its dual graph instead (:func:`_dual_forest`): no top column is
+    built and no Smith form taken, and the tree edges of a spanning forest
+    are the rows cleared from d_{top-1}.  Any other complex, including one
+    with a (top-1)-face of 1 or 3 or more cofaces, goes through the
+    elimination in every degree; ``2 f_{top-1} != (top + 1) f_top`` rules
+    most of them out before any table is built.
 
     Emergent pairs: the lowest row of the column of s = (v0 < ... < vi) is
     known without building it.  In lexicographically ordered bases the
@@ -340,7 +462,8 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     z_k, an integer combination of columns of d_{i+1}, so it lies in
     ker d_i, with +-1 at its pivot row r_k and zero below it.  On the pivot
     rows R the block Z_R of these columns is therefore triangular with +-1
-    on the diagonal, hence unimodular, and d_i Z = 0 gives
+    on the diagonal, hence unimodular (a spanning forest of the dual graph
+    gives a signed identity instead), and d_i Z = 0 gives
     D_R = -D_S Z_S Z_R^-1 for the other columns S.  Every cleared column is
     an integer combination of the kept ones, so the image lattice of d_i,
     its rank and every invariant factor are unchanged.
@@ -348,8 +471,14 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     top = K.dim
     rank_d: dict[int, int] = {}
     torsion: dict[int, tuple[int, ...]] = {}
-    pivots: dict[int, int] = {}  # of d_{i+1}: its pivot rows are cleared from d_i
-    for i in range(top, 0, -1):
+    pivots: Container[int] = ()  # of d_{i+1}: its pivot rows are cleared from d_i
+    forest = _dual_forest(K) if top else None
+    if forest is not None:
+        pivots, twisted = forest
+        rank_d[top] = len(pivots) + twisted
+        if twisted:
+            torsion[top - 1] = (2,) * twisted
+    for i in range(top - (forest is not None), 0, -1):
         face_row, boundary = K._boundary_of(i)
         kept = [s for r, s in enumerate(K._simplices[i]) if r not in pivots]
         lows = list(map(face_row, map(itemgetter(slice(1, None)), kept)))
@@ -583,7 +712,13 @@ def complex_to_json(K: SimplicialComplex) -> dict:
 
 
 def complex_from_json(data: Any, max_dim: int | None = None) -> SimplicialComplex:
-    """Build a complex from ``{"vertices": [...], "facets": [[...], ...]}``."""
+    """Build a complex from ``{"vertices": [...], "facets": [[...], ...]}``.
+
+    After the document's shape and scalar labels are checked, the
+    constructor reads it with JSON's label identity, so a facet label of
+    another type than its vertex (1.0 or true for 1) is refused at its
+    facet, in the constructor's order, before any face is made.
+    """
     if not isinstance(data, dict):
         raise ValueError("complex must be a JSON object")
     if "vertices" not in data or "facets" not in data:
@@ -595,15 +730,10 @@ def complex_from_json(data: Any, max_dim: int | None = None) -> SimplicialComple
     for f in facets:
         if not isinstance(f, list):
             raise ValueError("each facet must be a list of vertex labels")
-    labs = list(chain.from_iterable(facets))
-    kinds = set(map(type, chain(vertices, labs)))
+    kinds = set(map(type, chain(vertices, chain.from_iterable(facets))))
     if list in kinds or dict in kinds:
         raise ValueError("vertex labels must be JSON scalars, not lists or objects")
-    K = SimplicialComplex(vertices, facets, max_dim)
     # Python equates the distinct JSON labels 1, 1.0 and true; JSON does not.
-    typed = set(zip(map(type, vertices), vertices))
-    if not typed.issuperset(zip(map(type, labs), labs)):
-        for lab in labs:
-            if (type(lab), lab) not in typed:
-                raise ValueError(f"facet vertex {lab!r} is not in the vertex set")
+    K = SimplicialComplex.__new__(SimplicialComplex)
+    K._build(vertices, facets, max_dim, typed=True)
     return K

@@ -530,10 +530,13 @@ class TestClearing:
         assert sum(map(len, built.values())) < sum(map(len, kept.values()))
 
     def test_every_residual_goes_through_smith_diagonal(self, monkeypatch):
-        # one Smith form per boundary, d_top down to d_1, an empty residual too
+        # one Smith form per boundary below d_top, d_{top-1} down to d_1, an
+        # empty residual too; d_top of a closed manifold reads only the face
+        # index of its boundary, and builds no column
         expr = parse_manifold("Sng(4,2)")
         K = triangulate(expr)
         calls = []
+        built = record_builds(monkeypatch, K.dim)
         boundary_of = SimplicialComplex._boundary_of
 
         def logged_boundary(self, i):
@@ -547,9 +550,11 @@ class TestClearing:
         monkeypatch.setattr(SimplicialComplex, "_boundary_of", logged_boundary)
         monkeypatch.setattr(simplicial, "smith_diagonal", logged_smith)
         assert simplicial_homology(K) == homology(expr)
-        assert [c[0] for c in calls] == ["boundary", "smith"] * K.dim
-        assert [c[1] for c in calls[::2]] == list(range(K.dim, 0, -1))
-        assert (0, 0) in [c[1] for c in calls[1::2]]
+        assert calls[0] == ("boundary", K.dim)
+        assert [c[0] for c in calls[1:]] == ["boundary", "smith"] * (K.dim - 1)
+        assert [c[1] for c in calls[1::2]] == list(range(K.dim - 1, 0, -1))
+        assert (0, 0) in [c[1] for c in calls[2::2]]
+        assert built[K.dim] == []
 
     def test_pivot_columns_end_in_units_on_distinct_rows(self):
         matrices = [full_boundary_columns(K, i)
@@ -561,6 +566,83 @@ class TestClearing:
         for columns in matrices:
             pivots, residual = eliminate(columns)
             assert_elimination_contract(columns, pivots, residual)
+
+
+def disjoint_union(K, L):
+    """K and L side by side, on the vertices (0, v) and (1, w)."""
+    return SimplicialComplex([(0, v) for v in K.vertices] + [(1, w) for w in L.vertices],
+                             [[(0, v) for v in f] for f in K.facets]
+                             + [[(1, w) for w in f] for f in L.facets])
+
+
+def theta_facets():
+    """Three cones, with apexes p, q and r, on the boundary of the triangle abc."""
+    return [[x, *e] for x in "pqr" for e in (("a", "b"), ("b", "c"), ("a", "c"))]
+
+
+def reference_top(K):
+    """rank, torsion and unit-pivot rows of d_top, every column built up front."""
+    pivots, residual = eliminate(full_boundary_columns(K, K.dim))
+    diag = smith_diagonal(residual)
+    return len(pivots) + sum(1 for x in diag if x), tuple(x for x in diag if x > 1), set(pivots)
+
+
+def closed_pseudomanifolds():
+    rp2, s2 = projective_plane_complex(), boundary_sphere_complex(2)
+    cases = [pytest.param(permuted(K, random.Random(seed)), id=f"{name}-seed{seed}")
+             for seed in (4, 23)
+             for name, K in zip(["RP2xRP2", "RP2#RP2", "RP2xS2"], rp2_products_and_sums())]
+    cases += [pytest.param(disjoint_union(rp2, rp2), id="RP2+RP2"),
+              pytest.param(disjoint_union(rp2, s2), id="RP2+S2"),
+              pytest.param(disjoint_union(s2, s2), id="S2+S2"),
+              pytest.param(circle_complex(5), id="circle"),
+              pytest.param(permuted(circle_complex(6), random.Random(8)), id="circle-seed8")]
+    return cases
+
+
+ORIENTABLE = ["Sng(4,2)", "Sng(3,6)", "Sng(4,4)", "S3 x S2", "Sng(5,2)", "Sng(6,1)",
+              "S2 x S1 x S1", "S1 x S1", "S3 # S2 x S1"]
+
+
+class TestDualForest:
+    @pytest.mark.parametrize("K", closed_pseudomanifolds())
+    def test_matches_the_reference_elimination(self, K):
+        tree, twisted = simplicial._dual_forest(K)
+        rank, torsion, rows = reference_top(K)
+        assert len(tree) + twisted == rank
+        assert (2,) * twisted == torsion
+        if not twisted:
+            assert tree == rows
+        assert simplicial_homology(K) == homology_without_clearing(K)
+
+    @pytest.mark.parametrize("text", ORIENTABLE)
+    @pytest.mark.parametrize("seed", [None, 6, 15])
+    def test_orientable_inputs_clear_the_reference_rows(self, text, seed):
+        K = triangulate(parse_manifold(text))
+        if seed is not None:
+            K = permuted(K, random.Random(seed))
+        tree, twisted = simplicial._dual_forest(K)
+        assert twisted == 0
+        assert tree == reference_top(K)[2]
+
+    @pytest.mark.parametrize("facets, ranks, passes_count", [
+        # every edge of the triangle has three cofaces: 2 f_1 = 24 != 27 = 3 f_2
+        (theta_facets(), {0: 1, 2: 2}, False),
+        # minus the triangle pab, the counts agree (24 = 3 * 8), but ab has
+        # two cofaces, bc and ac three, and pa and pb one
+        (theta_facets()[1:], {0: 1, 2: 1}, True),
+    ])
+    def test_the_theta_complexes_fall_back(self, facets, ranks, passes_count, monkeypatch):
+        K = SimplicialComplex("abcpqr", facets)
+        asked = []
+        boundary_of = SimplicialComplex._boundary_of
+        monkeypatch.setattr(SimplicialComplex, "_boundary_of",
+                            lambda self, i: asked.append(i) or boundary_of(self, i))
+        assert simplicial._dual_forest(K) is None
+        # the count alone rules the full theta complex out, before any table
+        assert asked == ([2] if passes_count else [])
+        group = simplicial_homology(K)
+        assert group == homology_without_clearing(K) == GradedGroup(ranks, {})
 
 
 def low_heavy_columns(rng, nrows, ncols):
@@ -778,11 +860,15 @@ class TestEmergentPairs:
             return got[-1]
 
         monkeypatch.setattr(simplicial, "_eliminate_unit_pivots", recording)
+        built = record_builds(monkeypatch, K.dim)
         simplicial_homology(K)
-        # every kept column built up front, no pair taken unbuilt, and the
-        # clearing of kept_columns
-        cleared = set()
-        for i, result in zip(range(K.dim, 0, -1), got, strict=True):
+        # d_top of a closed pseudomanifold builds no column and is not
+        # eliminated; below it, every kept column built up front, no pair
+        # taken unbuilt, and the clearing of kept_columns from the rows the
+        # dual forest clears
+        assert built[K.dim] == []
+        cleared, _ = simplicial._dual_forest(K)
+        for i, result in zip(range(K.dim - 1, 0, -1), got, strict=True):
             columns = full_boundary_columns(K, i)
             kept = [columns[c] for c in range(len(columns)) if c not in cleared]
             want = _eliminate_unit_pivots([None] * len(kept), kept.__getitem__)
@@ -1035,35 +1121,49 @@ MALFORMED_DOCUMENTS = [
     ({"vertices": [1, 2, 1], "facets": [[1]]}, "repeated vertex label 1"),
     ({"vertices": [1, True], "facets": [[1]]}, "repeated vertex label True"),
     ({"vertices": [1, 2], "facets": [[2, 1, 2]]}, "facet [2, 1, 2] contains a repeated vertex"),
-    # Facets are read in input order, each fault named at its facet, and
-    # JSON's typed label identity is applied only after the constructor.
+    # Facets are read in input order, each fault named at its facet, and a
+    # label of another JSON type than its vertex names no vertex.
     ({"vertices": [1, 2], "facets": [[], [2, 3], [4]]}, "empty facet"),
     ({"vertices": [1, 2], "facets": [[1, 1], [], [1, 2.0]]},
      "facet [1, 1] contains a repeated vertex"),
+    ({"vertices": [1, 2], "facets": [[1.0], []]}, "facet vertex 1.0 is not in the vertex set"),
+    ({"vertices": [1], "facets": [[1, True]]}, "facet vertex True is not in the vertex set"),
     ({"vertices": [1, 2], "facets": [[1, 1], []]}, "facet [1, 1] contains a repeated vertex"),
     ({"vertices": [None, "x"], "facets": [[None], ["x", "x"], []]},
      "facet ['x', 'x'] contains a repeated vertex"),
 ]
 
 
-def constructor_decides(doc):
-    """Whether ``doc`` passes complex_from_json's own checks of shape and
-    scalar labels, and every facet label equal to a vertex label also has
-    its JSON type, so that the constructor alone can refuse it."""
+class Stranger:
+    """A label equal to no vertex label, printed as the label it stands for."""
+
+    def __init__(self, label):
+        self.label = label
+
+    def __repr__(self):
+        return repr(self.label)
+
+
+def constructor_input(doc):
+    """``doc``'s vertices and facets as the constructor reads them under
+    JSON's typed label identity: a facet label that matches no vertex label
+    in both value and type becomes a Stranger.  None when ``doc`` fails
+    complex_from_json's own checks of shape and scalar labels."""
     if not isinstance(doc, dict) or not {"vertices", "facets"} <= doc.keys():
-        return False
+        return None
     vertices, facets = doc["vertices"], doc["facets"]
     if not (isinstance(vertices, list) and isinstance(facets, list)
             and all(isinstance(f, list) for f in facets)):
-        return False
+        return None
     labels = vertices + [v for f in facets for v in f]
     if any(isinstance(v, (list, dict)) for v in labels):
-        return False
+        return None
     typed = {(type(v), v) for v in vertices}
-    return all((type(v), v) in typed for f in facets for v in f if v in vertices)
+    return vertices, [[v if (type(v), v) in typed else Stranger(v) for v in f] for f in facets]
 
 
-CONSTRUCTOR_DOCUMENTS = [doc for doc, _ in MALFORMED_DOCUMENTS if constructor_decides(doc)]
+CONSTRUCTOR_DOCUMENTS = [doc for doc, _ in MALFORMED_DOCUMENTS
+                         if constructor_input(doc) is not None]
 
 
 class TestJson:
@@ -1086,20 +1186,57 @@ class TestJson:
         assert str(info.value) == message
 
     def test_every_constructor_document_is_picked(self):
-        # 24 documents: 10 fail a check of shape or scalar labels, and 2
-        # hold a facet label equal to a vertex label of another JSON type.
-        assert len(MALFORMED_DOCUMENTS) == 24
-        assert len(CONSTRUCTOR_DOCUMENTS) == 12
+        # 26 documents: 10 fail a check of shape or scalar labels, and 4 of
+        # the others hold a facet label equal to a vertex label of another
+        # JSON type.
+        assert len(MALFORMED_DOCUMENTS) == 26
+        assert len(CONSTRUCTOR_DOCUMENTS) == 16
+        typed_only = [doc for doc in CONSTRUCTOR_DOCUMENTS
+                      if any(isinstance(v, Stranger) and v.label in doc["vertices"]
+                             for f in constructor_input(doc)[1] for v in f)]
+        assert len(typed_only) == 4
 
     @pytest.mark.parametrize("doc", CONSTRUCTOR_DOCUMENTS)
     def test_refused_as_the_constructor_refuses(self, doc):
         # complex_from_json names a document's first fault in the order the
-        # constructor reads it, whatever its own checks add.
+        # constructor reads it, whatever its own checks add, a label of the
+        # wrong JSON type at its facet.
         with pytest.raises(ValueError) as from_json:
             complex_from_json(doc)
         with pytest.raises(ValueError) as constructed:
-            SimplicialComplex(doc["vertices"], doc["facets"])
+            SimplicialComplex(*constructor_input(doc))
         assert str(from_json.value) == str(constructed.value)
+
+    @pytest.mark.parametrize("stray", [1.0, True])
+    def test_a_label_of_another_type_is_refused_before_any_face(self, stray, monkeypatch):
+        K = triangulate(parse_manifold("S2 x S2"))
+        number = {v: i for i, v in enumerate(K.vertices)}
+        doc = {"vertices": list(range(len(K.vertices))),
+               "facets": [[number[v] for v in f] for f in K.facets]}
+        made = []
+        faces = simplicial.combinations
+
+        def recording(simplex, size):
+            made.append(simplex)
+            return faces(simplex, size)
+
+        monkeypatch.setattr(simplicial, "combinations", recording)
+        assert complex_from_json(doc).n_simplices(4) == K.n_simplices(4)
+        assert made
+        made.clear()
+        # the last facet holding vertex 1 names it as a float or a bool
+        last = max(i for i, f in enumerate(doc["facets"]) if 1 in f)
+        doc["facets"][last] = [stray if v == 1 else v for v in doc["facets"][last]]
+        with pytest.raises(ValueError) as info:
+            complex_from_json(doc)
+        assert str(info.value) == f"facet vertex {stray!r} is not in the vertex set"
+        assert made == []
+
+    def test_a_label_of_another_type_is_named_before_max_dim(self):
+        doc = {"vertices": list(range(30)), "facets": [[*range(29), 29.0]]}
+        with address_space_cap(), pytest.raises(ValueError) as info:
+            complex_from_json(doc, max_dim=28)
+        assert str(info.value) == "facet vertex 29.0 is not in the vertex set"
 
 
 class TestGradedGroupReuse:
