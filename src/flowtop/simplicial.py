@@ -52,38 +52,30 @@ class SimplicialComplex:
     once, or contained in a larger facet, are dropped.  Faces are derived
     a level at a time from the top, each once per coface; a complex over
     ``max_dim``, if given, is refused before any face is made.
+
+    A label is its type and value together, as in JSON, where 1, 1.0 and
+    true are three labels: ``[1, True]`` is two vertices, and a facet
+    label names a vertex only if it has that vertex's type as well.
     """
 
     __slots__ = ("_labels", "_facets", "_simplices")
 
     def __init__(self, vertices: Iterable[Hashable], facets: Iterable[Sequence[Hashable]],
                  max_dim: int | None = None):
-        self._build(vertices, facets, max_dim, typed=False)
-
-    def _build(self, vertices: Iterable[Hashable], facets: Iterable[Sequence[Hashable]],
-               max_dim: int | None, typed: bool) -> None:
-        """The constructor.  With ``typed``, a facet label names a vertex
-        only if it also has that vertex's type, as in JSON, where 1, 1.0
-        and true are distinct; vertex labels that Python equates are
-        still refused as repeated."""
         labels = list(vertices)
         if not labels:
             raise ValueError("a complex needs at least one vertex")
-        index: dict[Hashable, int] = {}
-        for pos, lab in enumerate(labels):
-            if lab in index:
-                raise ValueError(f"repeated vertex label {lab!r}")
-            index[lab] = pos
-        if typed:
-            index = dict(zip(zip(map(type, labels), labels), range(len(labels))))
+        index: dict[tuple[type, Hashable], int] = {}
+        for pos, key in enumerate(zip(map(type, labels), labels)):
+            if index.setdefault(key, pos) != pos:
+                raise ValueError(f"repeated vertex label {key[1]!r}")
 
         by_size: dict[int, set[tuple[int, ...]]] = {}
         for facet in facets:
             try:
-                f = tuple(sorted(map(index.__getitem__,
-                                     zip(map(type, facet), facet) if typed else facet)))
+                f = tuple(sorted(map(index.__getitem__, zip(map(type, facet), facet))))
             except KeyError as exc:
-                lab = exc.args[0][1] if typed else exc.args[0]
+                lab = exc.args[0][1]
                 raise ValueError(f"facet vertex {lab!r} is not in the vertex set") from None
             if len(set(f)) != len(f):
                 raise ValueError(f"facet {list(facet)!r} contains a repeated vertex")
@@ -704,9 +696,15 @@ def triangulate(expr: ManifoldExpr) -> SimplicialComplex:
 
 
 def complex_to_json(K: SimplicialComplex) -> dict:
-    """Serializable form: vertex labels and facets as strings."""
+    """Serializable form: vertex labels and facets as strings.  Two labels
+    that print alike, such as 1 and '1', are refused: read back, they would
+    be one label repeated."""
+    named: dict[str, Hashable] = {}
+    for v in K.vertices:
+        if (first := named.setdefault(str(v), v)) is not v:
+            raise ValueError(f"vertex labels {first!r} and {v!r} are both written {str(v)!r}")
     return {
-        "vertices": [str(v) for v in K.vertices],
+        "vertices": list(named),
         "facets": [[str(v) for v in f] for f in K.facets],
     }
 
@@ -714,10 +712,8 @@ def complex_to_json(K: SimplicialComplex) -> dict:
 def complex_from_json(data: Any, max_dim: int | None = None) -> SimplicialComplex:
     """Build a complex from ``{"vertices": [...], "facets": [[...], ...]}``.
 
-    After the document's shape and scalar labels are checked, the
-    constructor reads it with JSON's label identity, so a facet label of
-    another type than its vertex (1.0 or true for 1) is refused at its
-    facet, in the constructor's order, before any face is made.
+    The document's shape and scalar labels are checked here; the rest,
+    labels included, is the constructor's.
     """
     if not isinstance(data, dict):
         raise ValueError("complex must be a JSON object")
@@ -733,7 +729,4 @@ def complex_from_json(data: Any, max_dim: int | None = None) -> SimplicialComple
     kinds = set(map(type, chain(vertices, chain.from_iterable(facets))))
     if list in kinds or dict in kinds:
         raise ValueError("vertex labels must be JSON scalars, not lists or objects")
-    # Python equates the distinct JSON labels 1, 1.0 and true; JSON does not.
-    K = SimplicialComplex.__new__(SimplicialComplex)
-    K._build(vertices, facets, max_dim, typed=True)
-    return K
+    return SimplicialComplex(vertices, facets, max_dim)

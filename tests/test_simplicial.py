@@ -117,6 +117,8 @@ class TestConstruction:
         (["a", "b"], [["a"], ["z"], []], "facet vertex 'z' is not in the vertex set"),
         (["a", "b"], [["b", "b"], ["z"]], "facet ['b', 'b'] contains a repeated vertex"),
         (["a", "b"], [[], ["a", "a"]], "empty facet"),
+        # A label is its type and value, as in JSON: 2.0 names no vertex 2.
+        ([1, 2], [[1, 2.0]], "facet vertex 2.0 is not in the vertex set"),
     ])
     def test_validation(self, vertices, facets, message):
         with pytest.raises(ValueError) as info:
@@ -1119,7 +1121,6 @@ MALFORMED_DOCUMENTS = [
     # The vertex set is checked for repeats before any facet is read.
     ({"vertices": [1, 1], "facets": [[2]]}, "repeated vertex label 1"),
     ({"vertices": [1, 2, 1], "facets": [[1]]}, "repeated vertex label 1"),
-    ({"vertices": [1, True], "facets": [[1]]}, "repeated vertex label True"),
     ({"vertices": [1, 2], "facets": [[2, 1, 2]]}, "facet [2, 1, 2] contains a repeated vertex"),
     # Facets are read in input order, each fault named at its facet, and a
     # label of another JSON type than its vertex names no vertex.
@@ -1134,36 +1135,20 @@ MALFORMED_DOCUMENTS = [
 ]
 
 
-class Stranger:
-    """A label equal to no vertex label, printed as the label it stands for."""
-
-    def __init__(self, label):
-        self.label = label
-
-    def __repr__(self):
-        return repr(self.label)
-
-
-def constructor_input(doc):
-    """``doc``'s vertices and facets as the constructor reads them under
-    JSON's typed label identity: a facet label that matches no vertex label
-    in both value and type becomes a Stranger.  None when ``doc`` fails
-    complex_from_json's own checks of shape and scalar labels."""
+def constructor_decides(doc):
+    """Whether ``doc`` passes complex_from_json's own checks of shape and
+    scalar labels, so that the constructor decides the rest."""
     if not isinstance(doc, dict) or not {"vertices", "facets"} <= doc.keys():
-        return None
+        return False
     vertices, facets = doc["vertices"], doc["facets"]
     if not (isinstance(vertices, list) and isinstance(facets, list)
             and all(isinstance(f, list) for f in facets)):
-        return None
+        return False
     labels = vertices + [v for f in facets for v in f]
-    if any(isinstance(v, (list, dict)) for v in labels):
-        return None
-    typed = {(type(v), v) for v in vertices}
-    return vertices, [[v if (type(v), v) in typed else Stranger(v) for v in f] for f in facets]
+    return not any(isinstance(v, (list, dict)) for v in labels)
 
 
-CONSTRUCTOR_DOCUMENTS = [doc for doc, _ in MALFORMED_DOCUMENTS
-                         if constructor_input(doc) is not None]
+CONSTRUCTOR_DOCUMENTS = [doc for doc, _ in MALFORMED_DOCUMENTS if constructor_decides(doc)]
 
 
 class TestJson:
@@ -1179,6 +1164,13 @@ class TestJson:
         assert doc["vertices"] == ["0", "1", "2"]
         assert [sorted(f) for f in doc["facets"]] == [["0", "1"], ["0", "2"], ["1", "2"]]
 
+    def test_labels_written_alike_are_refused(self):
+        # Written as strings, 1 and "1" would read back as one label repeated.
+        K = complex_from_json({"vertices": [1, "1"], "facets": [[1, "1"]]})
+        with pytest.raises(ValueError) as info:
+            complex_to_json(K)
+        assert str(info.value) == "vertex labels 1 and '1' are both written '1'"
+
     @pytest.mark.parametrize("doc, message", MALFORMED_DOCUMENTS)
     def test_malformed_documents(self, doc, message):
         with pytest.raises(ValueError) as info:
@@ -1186,26 +1178,26 @@ class TestJson:
         assert str(info.value) == message
 
     def test_every_constructor_document_is_picked(self):
-        # 26 documents: 10 fail a check of shape or scalar labels, and 4 of
-        # the others hold a facet label equal to a vertex label of another
-        # JSON type.
-        assert len(MALFORMED_DOCUMENTS) == 26
-        assert len(CONSTRUCTOR_DOCUMENTS) == 16
-        typed_only = [doc for doc in CONSTRUCTOR_DOCUMENTS
-                      if any(isinstance(v, Stranger) and v.label in doc["vertices"]
-                             for f in constructor_input(doc)[1] for v in f)]
-        assert len(typed_only) == 4
+        # 25 documents: 10 fail a check of shape or scalar labels.
+        assert len(MALFORMED_DOCUMENTS) == 25
+        assert len(CONSTRUCTOR_DOCUMENTS) == 15
 
     @pytest.mark.parametrize("doc", CONSTRUCTOR_DOCUMENTS)
     def test_refused_as_the_constructor_refuses(self, doc):
-        # complex_from_json names a document's first fault in the order the
-        # constructor reads it, whatever its own checks add, a label of the
-        # wrong JSON type at its facet.
+        # Past its own checks, complex_from_json refuses what the constructor
+        # refuses, with the same message.
         with pytest.raises(ValueError) as from_json:
             complex_from_json(doc)
         with pytest.raises(ValueError) as constructed:
-            SimplicialComplex(*constructor_input(doc))
+            SimplicialComplex(doc["vertices"], doc["facets"])
         assert str(from_json.value) == str(constructed.value)
+
+    def test_labels_python_equates_are_two_vertices(self):
+        # 1 and true are two JSON labels, so two points, from JSON or not.
+        doc = {"vertices": [1, True], "facets": [[1], [True]]}
+        assert simplicial_homology(complex_from_json(doc)) == GradedGroup({0: 2})
+        K = SimplicialComplex([1, True], [[1], [True]])
+        assert simplicial_homology(K) == GradedGroup({0: 2})
 
     @pytest.mark.parametrize("stray", [1.0, True])
     def test_a_label_of_another_type_is_refused_before_any_face(self, stray, monkeypatch):
