@@ -212,9 +212,11 @@ def _eliminate_unit_pivots(lows: Sequence[int | None],
     free, c pivots there unbuilt, as the reduction would after subtracting
     p, and c - p is built the first time a later column subtracts it.
     Only one step is taken: following the chain further built fewer
-    columns but cost more than it saved.  So each column is built at most
-    once, and the pivots and residual are those of the same reduction on
-    columns all built up front.
+    columns but cost more than it saved.  Every pivot column is read
+    through ``reduced``, which keeps it in the local cache ``built`` from
+    its first read on.  So each column is built at most once, and the
+    pivots and residual are those of the same reduction on columns all
+    built up front.
 
     The columns whose lowest entry is not +-1 (few in practice) then have
     their pivot rows cleared, highest row first, which leaves them zero on
@@ -233,8 +235,21 @@ def _eliminate_unit_pivots(lows: Sequence[int | None],
     the original rows).
     """
     pivot_of: dict[int, int] = {}  # pivot row -> its column
-    # pivot column -> its reduced column, once read
-    built = _Built(column, lows, pivot_of)
+    built: dict[int, dict[int, int]] = {}  # pivot column -> its reduced column
+
+    def reduced(c: int) -> dict[int, int]:
+        col = built.get(c)
+        if col is not None:
+            return col
+        col = column(c)
+        low = lows[c]
+        p = pivot_of[low]
+        if p != c:  # paired one subtraction deep
+            pivot = reduced(p)
+            _subtract(col, pivot, col[low] * pivot[low], [])
+        built[c] = col
+        return col
+
     rest: list[dict[int, int]] = []
     for c, low in enumerate(lows):
         if low is not None:
@@ -255,7 +270,7 @@ def _eliminate_unit_pivots(lows: Sequence[int | None],
             if low not in col:
                 heappop(heap)  # cancelled
             elif low in pivot_of:
-                pivot = built[pivot_of[low]]
+                pivot = reduced(pivot_of[low])
                 _subtract(col, pivot, col[low] * pivot[low], heap)
             else:
                 if col[low] == 1 or col[low] == -1:
@@ -270,37 +285,12 @@ def _eliminate_unit_pivots(lows: Sequence[int | None],
         while heap:
             r = -heappop(heap)
             if r in col and r in pivot_of:
-                pivot = built[pivot_of[r]]
+                pivot = reduced(pivot_of[r])
                 _subtract(col, pivot, col[r] * pivot[r], heap)
     kept = [col for col in rest if col]
     renumber = {r: k for k, r in enumerate(sorted({r for col in kept for r in col}))}
     residual = [{renumber[r]: x for r, x in col.items()} for col in kept]
     return pivot_of, IntegerMatrix._of(residual, len(renumber))
-
-
-class _Built(dict):
-    """Reduced pivot columns, each built by ``column`` the first time it is
-    read: an emergent column as it stands, a column paired one subtraction
-    deep minus its emergent partner."""
-
-    __slots__ = ("column", "lows", "pivot_of")
-
-    def __init__(self, column: Callable[[int], dict[int, int]],
-                 lows: Sequence[int | None], pivot_of: dict[int, int]):
-        super().__init__()
-        self.column = column
-        self.lows = lows
-        self.pivot_of = pivot_of
-
-    def __missing__(self, c: int) -> dict[int, int]:
-        col = self.column(c)
-        low = self.lows[c]
-        p = self.pivot_of[low]
-        if p != c:
-            pivot = self[p]
-            _subtract(col, pivot, col[low] * pivot[low], [])
-        self[c] = col
-        return col
 
 
 def _subtract(col: dict[int, int], pivot: dict[int, int], q: int, heap: list[int]) -> None:

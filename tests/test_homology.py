@@ -25,6 +25,7 @@ from flowtop.homology import (
     homology,
     poincare_polynomial,
 )
+from flowtop.snf import IntegerMatrix
 
 from helpers import address_space_cap, convolve_ranks, expr_of_dim, random_expr
 
@@ -103,6 +104,17 @@ class TestPoincarePolynomial:
         p = PoincarePolynomial._of({0: 1, 1: 2, 2: 1})
         assert p(1) == 4
         assert p(-1) == 0
+
+
+@pytest.mark.parametrize("a, b", [
+    (homology(parse_manifold("S3 x S1")), homology(parse_manifold("S1 x S3"))),
+    (poincare_polynomial(parse_manifold("S3 x S1")), poincare_polynomial(parse_manifold("S1 x S3"))),
+    (IntegerMatrix([[1, 0], [0, 2]]), IntegerMatrix.from_columns([{0: 1}, {1: 2}], 2)),
+], ids=["GradedGroup", "PoincarePolynomial", "IntegerMatrix"])
+def test_value_types_hash_as_they_compare(a, b):
+    """Equal values hash equal, and a value of another type is never equal."""
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != object() and not a == object()
 
 
 class TestHomology:
