@@ -1,17 +1,18 @@
 """Simplicial complexes with exact integer homology.
 
 This is the independent verifier for the closed-form homology rules: a
-complex is a vertex order plus a facet list, the full face lattice is
-derived (a product generates it from its factors' lattices), and boundary
-matrices use the alternating-sign rule with lexicographically ordered
-bases.  Homology is computed exactly, torsion included: the boundaries
-are reduced top-down as sparse columns on their +-1 pivots, and only the
-residual, the few columns whose lowest entry is not a unit, goes through
-dense Smith normal form.  Clearing and emergent pairs leave most columns
-unbuilt (see :func:`simplicial_homology`).  The top boundary of a closed
+complex is a vertex order plus its face lattice, derived from a facet
+list (a product generates it from its factors' lattices), and its facets
+are read off the lattice.  Boundary matrices use the alternating-sign
+rule with lexicographically ordered bases.  Homology is computed
+exactly, torsion included: the boundaries are reduced top-down as sparse
+columns on their +-1 pivots, and only the residual, the few columns
+whose lowest entry is not a unit, goes through dense Smith normal form.
+Clearing and emergent pairs leave most columns unbuilt (see
+:func:`simplicial_homology`).  The top boundary of a closed
 pseudomanifold, every (top-1)-face in exactly two top simplices, builds
-none: its rank, its factors 2 and the rows it clears come from a spanning
-forest of the dual graph (:func:`_dual_forest`).
+none: its rank, its factors 2 and the rows it clears come from a
+spanning forest of the dual graph (:func:`_dual_forest`).
 
 Constructors cover triangulated spheres, polygons, products (staircase
 triangulation) and connected sums; together they triangulate any manifold
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Container, Hashable, Iterable, Sequence
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, combinations, repeat
 from operator import eq, itemgetter
 from typing import Any
 
@@ -48,17 +49,17 @@ class SimplicialComplex:
     """Abstract simplicial complex over an ordered vertex set.
 
     The order of ``vertices`` is the total order that orients every
-    simplex; ``facets`` are the maximal simplices.  Facets listed more than
-    once, or contained in a larger facet, are dropped.  Faces are derived
-    a level at a time from the top, each once per coface; a complex over
-    ``max_dim``, if given, is refused before any face is made.
+    simplex.  Only the face lattice is kept, derived a level at a time
+    from the top, each face once per coface; ``facets``, the maximal
+    simplices, are read off it.  A complex over ``max_dim``, if given, is
+    refused before any face is made.
 
     A label is its type and value together, as in JSON, where 1, 1.0 and
     true are three labels: ``[1, True]`` is two vertices, and a facet
     label names a vertex only if it has that vertex's type as well.
     """
 
-    __slots__ = ("_labels", "_facets", "_simplices")
+    __slots__ = ("_labels", "_simplices", "_maximal")
 
     def __init__(self, vertices: Iterable[Hashable], facets: Iterable[Sequence[Hashable]],
                  max_dim: int | None = None):
@@ -87,32 +88,40 @@ class SimplicialComplex:
         dim = max(by_size) - 1
         if max_dim is not None and dim > max_dim:
             raise ValueError(f"complex has dimension {dim}, above the limit {max_dim}")
-        # A facet among the faces of the level above is not maximal.  Faces
-        # taken from a sorted level come out nearly sorted.
-        maximal: list[tuple[int, ...]] = []
+        # Faces taken from a sorted level come out nearly sorted.
         lattice = []
         level: list[tuple[int, ...]] = []
         for size in range(dim + 1, 0, -1):
-            faces = dict.fromkeys(chain.from_iterable(map(combinations, level, repeat(size))))
-            new = [f for f in by_size.get(size, ()) if f not in faces]
-            maximal += new
-            level = sorted([*faces, *new])
+            faces = _faces(level, size)
+            level = sorted([*faces, *(f for f in by_size.get(size, ()) if f not in faces)])
             lattice.append(level)
 
         self._labels = tuple(labels)
-        self._facets = tuple(sorted(maximal))
         self._simplices = lattice[::-1]
+        self._maximal: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
-    def _from_lattice(cls, labels: tuple[Hashable, ...], facets: tuple[tuple[int, ...], ...],
+    def _from_lattice(cls, labels: tuple[Hashable, ...],
                       levels: list[list[tuple[int, ...]]]) -> SimplicialComplex:
-        """A complex whose sorted facets and face lattice, as vertex index
-        tuples each sorted, with every level sorted, are already known."""
+        """A complex whose face lattice, as vertex index tuples each sorted,
+        with every level sorted, is already known."""
         K = cls.__new__(cls)
         K._labels = labels
-        K._facets = facets
         K._simplices = levels
+        K._maximal = None
         return K
+
+    def _facets(self) -> tuple[tuple[int, ...], ...]:
+        """The maximal simplices, sorted: each simplex that is not a face of
+        the level above it, derived on the first read and kept."""
+        if self._maximal is None:
+            levels = self._simplices
+            maximal = list(levels[-1])
+            for size, (level, above) in enumerate(zip(levels, levels[1:]), 1):
+                faces = _faces(above, size)
+                maximal += [s for s in level if s not in faces]
+            self._maximal = tuple(sorted(maximal))
+        return self._maximal
 
     @property
     def vertices(self) -> tuple[Hashable, ...]:
@@ -120,7 +129,7 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple[tuple[Hashable, ...], ...]:
-        return tuple(tuple(self._labels[i] for i in f) for f in self._facets)
+        return tuple(tuple(self._labels[i] for i in f) for f in self._facets())
 
     @property
     def dim(self) -> int:
@@ -177,6 +186,12 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         counts = [len(level) for level in self._simplices]
         return f"SimplicialComplex(dim={self.dim}, simplex_counts={counts})"
+
+
+def _faces(level: Iterable[tuple[int, ...]], size: int) -> dict[tuple[int, ...], None]:
+    """The faces with ``size`` vertices of the simplices in ``level``, each
+    once, in the order first met."""
+    return dict.fromkeys(chain.from_iterable(map(combinations, level, repeat(size))))
 
 
 def _eliminate_unit_pivots(lows: Sequence[int | None],
@@ -487,7 +502,7 @@ def boundary_sphere_complex(k: int) -> SimplicialComplex:
         raise ValueError(f"sphere dimension must be an integer >= 1, got {k!r}")
     verts = range(k + 2)
     levels = [list(combinations(verts, size)) for size in range(1, k + 2)]
-    return SimplicialComplex._from_lattice(tuple(verts), tuple(levels[-1]), levels)
+    return SimplicialComplex._from_lattice(tuple(verts), levels)
 
 
 def circle_complex(m: int) -> SimplicialComplex:
@@ -526,13 +541,7 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
     t.  So f_d = sum over p, q of f_p(K) f_q(L) d!/((d-q)!(d-p)!(p+q-d)!),
     the closed-form f-vector of a product.  Vertex (a, b) has index
     a * |L| + b, which increases along a chain, so every generated tuple
-    is increasing and only each level needs sorting.  The facets are the
-    (p + q)-paths of the facet pairs f x h, for f a p-facet and h a q-facet:
-    a simplex containing one has the same projections, and a chain in f x h
-    has at most p + q + 1 vertices, so each is maximal.  When both factors
-    are pure, so is the product, and its facets are its top level: the same
-    tuples, taken from the lattice.  Only when a factor is not pure are the
-    facet pairs' paths generated a second time, as the facets.
+    is increasing and only each level needs sorting.
     """
     width = len(L._labels)
 
@@ -573,20 +582,8 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
                 levels[d] += cells(pairs, p, q, d)
     for level in levels:
         level.sort()
-    # Every top simplex is a facet, so a factor is pure when it has no more
-    # facets than top simplices.
-    if all(len(M._facets) == len(M._simplices[-1]) for M in (K, L)):
-        facets = levels[-1]
-    else:
-        facets = []
-        for size_K, group_K in groupby(sorted(K._facets, key=len), len):
-            rows = scaled(group_K)
-            for size_L, facets_L in groupby(sorted(L._facets, key=len), len):
-                facets += cells(grids(rows, facets_L), size_K - 1, size_L - 1,
-                                size_K + size_L - 2)
-        facets.sort()
     labels = tuple((a, b) for a in K._labels for b in L._labels)
-    return SimplicialComplex._from_lattice(labels, tuple(facets), levels)
+    return SimplicialComplex._from_lattice(labels, levels)
 
 
 def connected_sum_complex(K: SimplicialComplex, L: SimplicialComplex,
@@ -606,11 +603,10 @@ def connected_sum_complex(K: SimplicialComplex, L: SimplicialComplex,
         raise ValueError(
             f"dimension mismatch: expected two {n}-complexes, got {K.dim} and {L.dim}")
     for complex_ in (K, L):
-        for f in complex_._facets:
-            if len(f) != n + 1:
-                facet = tuple(complex_._labels[v] for v in f)
+        for facet in complex_.facets:
+            if len(facet) != n + 1:
                 raise ValueError(
-                    f"facet {facet!r} has dimension {len(f) - 1}, so its boundary "
+                    f"facet {facet!r} has dimension {len(facet) - 1}, so its boundary "
                     f"is not a standard {n - 1}-sphere; the complex must be pure")
     return _glue([K, L])
 
@@ -636,12 +632,12 @@ def _glue(pieces: Sequence[SimplicialComplex]) -> SimplicialComplex:
     distinct piece, and each copy is relabelled a level at a time.
     """
     first, *rest = pieces
-    heap = list(first._facets)  # sorted, so already a heap
+    heap = list(first._simplices[-1])  # a pure piece's facets, sorted, so a heap
     levels = [list(level) for level in first._simplices[:-1]]
     fresh = len(first._labels)
     shaped = None
     for piece in rest:
-        glued = piece._facets[0]
+        glued = piece._simplices[-1][0]
         if piece is not shaped:
             # the vertices of each level's new simplices, glued ones first,
             # in one flat list per level
@@ -663,8 +659,7 @@ def _glue(pieces: Sequence[SimplicialComplex]) -> SimplicialComplex:
             heappush(heap, facet)
     for level in levels:
         level.sort()
-    facets = sorted(heap)
-    return SimplicialComplex._from_lattice(tuple(range(fresh)), tuple(facets), levels + [facets])
+    return SimplicialComplex._from_lattice(tuple(range(fresh)), levels + [sorted(heap)])
 
 
 def triangulate(expr: ManifoldExpr) -> SimplicialComplex:
@@ -693,9 +688,10 @@ def complex_to_json(K: SimplicialComplex) -> dict:
     for v in K.vertices:
         if (first := named.setdefault(str(v), v)) is not v:
             raise ValueError(f"vertex labels {first!r} and {v!r} are both written {str(v)!r}")
+    names = list(named)
     return {
-        "vertices": list(named),
-        "facets": [[str(v) for v in f] for f in K.facets],
+        "vertices": names,
+        "facets": [[names[i] for i in f] for f in K._facets()],
     }
 
 

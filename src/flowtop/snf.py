@@ -7,9 +7,12 @@ diagonal and made positive.  Euclidean steps clear its column, then its
 row; a divisibility violation is repaired by adding the offending row to
 the pivot row, whose row step then leaves a remainder.  A remainder lies in
 [1, pivot) inside the trailing submatrix, so the next search finds a
-strictly smaller pivot, and the elimination ends.  Keeping the pivot minimal bounds the
-intermediate coefficient growth well enough for the matrix sizes this
-package meets, with no modular techniques.
+strictly smaller pivot, and the elimination ends.  A least pivot bounds
+the coefficient growth of :func:`smith_diagonal` well enough for the
+oracle's residuals.  It does not bound U and V in :func:`smith_normal_form`,
+which are not reduced as it goes: on a random 60 x 60 matrix with entries
+in -9..9 their largest entry has some 1700 digits.  The known remedy is
+Kannan and Bachem's (SIAM J. Comput. 8:4, 1979).
 There is one elimination: :func:`smith_diagonal` runs it on A alone, and
 :func:`smith_normal_form` runs it on the augmented matrix [[A, I], [I, 0]],
 where the identity blocks become the transforms U and V (Cohen, *A Course

@@ -318,7 +318,7 @@ class TestConnectedSumComplex:
 
     def test_impure_complex_rejected(self):
         impure = SimplicialComplex(range(5), [(0, 1, 2), (2, 3), (3, 4)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("facet (2, 3) has dimension 1,")):
             connected_sum_complex(impure, impure, 2)
 
 
@@ -941,9 +941,9 @@ class TestGluing:
             built.append(1)
             init(self, vertices, facets)
 
-        def counting_lattice(cls, labels, facets, levels):
+        def counting_lattice(cls, labels, levels):
             built.append(1)
-            return from_lattice(cls, labels, facets, levels)
+            return from_lattice(cls, labels, levels)
 
         monkeypatch.setattr(SimplicialComplex, "__init__", counting)
         monkeypatch.setattr(SimplicialComplex, "_from_lattice", classmethod(counting_lattice))
@@ -1093,8 +1093,8 @@ class TestStaircaseLattice:
         # second generation of them.
         K = triangulate(parse_manifold(text))
         top = K._simplices[-1]
-        assert K._facets == tuple(top)
-        assert all(f is s for f, s in zip(K._facets, top))
+        assert K._facets() == tuple(top)
+        assert all(f is s for f, s in zip(K._facets(), top))
 
 
 SCALARS = "vertex labels must be JSON scalars, not lists or objects"
@@ -1158,6 +1158,22 @@ class TestJson:
         assert set(doc) == {"vertices", "facets"}
         restored = complex_from_json(doc)
         assert simplicial_homology(restored) == simplicial_homology(K)
+
+    @pytest.mark.parametrize("make", [
+        staircase_cases()["non-pure-left"],
+        staircase_cases()["non-pure-right"],
+        lambda prod: prod(projective_plane_complex(), circle_complex(3)),
+    ], ids=["non-pure-left", "non-pure-right", "RP2 x S1"])
+    def test_facets_written_and_read_back(self, make):
+        # Facets of every dimension, read off the lattice, are written as
+        # their labels' strings and read back with the same faces.
+        K = make(product_complex)
+        doc = complex_to_json(K)
+        assert doc["facets"] == [[str(v) for v in f] for f in K.facets]
+        restored = complex_from_json(doc)
+        assert [list(f) for f in restored.facets] == doc["facets"]
+        assert ([restored.n_simplices(d) for d in range(restored.dim + 1)]
+                == [K.n_simplices(d) for d in range(K.dim + 1)])
 
     def test_document_shape(self):
         doc = complex_to_json(circle_complex(3))
