@@ -194,8 +194,10 @@ MAX_BRACKET_DEPTH = 100
 
 
 def _build(node_type, pos: int, *args) -> ManifoldExpr:
-    """A Product or ConnSum node; a tree over the height cap is a ParseError
-    at ``pos``, while a dimension mismatch propagates as it is."""
+    """``node_type(*args)``: a SphereAtom, an s_ng piece, a Product or a
+    ConnSum.  A value the node refuses, such as S0 or a tree over the height
+    cap, is a ParseError at ``pos``, while a dimension mismatch propagates
+    as it is."""
     try:
         return node_type(*args)
     except DimensionMismatchError:
@@ -289,19 +291,14 @@ class _Parser:
         kind, value, pos = self.tokens[self.pos]
         self.pos += 1
         if kind == "sphere":
-            if value < 1:
-                raise ParseError("S0 is disconnected and not a valid atom", pos)
-            return SphereAtom(value)
+            return _build(SphereAtom, pos, value)
         if kind == "Sng":
             self.expect("(", "'('")
             n = self.expect("int", "an integer")[1]
             self.expect(",", "','")
             g = self.expect("int", "an integer")[1]
             self.expect(")", "')'")
-            try:
-                return s_ng(n, g)
-            except ValueError as exc:
-                raise ParseError(str(exc), pos) from exc
+            return _build(s_ng, pos, n, g)
         if kind == "(":
             if self._depth == MAX_BRACKET_DEPTH:
                 raise ParseError(

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable, Container, Hashable, Iterable, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, repeat
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Any
 
 from .expressions import ConnSum, ManifoldExpr, Product, SphereAtom
@@ -368,10 +368,11 @@ def _dual_forest(K: SimplicialComplex) -> tuple[set[int], int] | None:
     component it may leave to its residual a row that is a tree edge here;
     the rank, the factors and the clearing above hold either way.
 
-    The table is built in C-level passes: the faces of every top simplex,
-    in the ``combinations`` order that :meth:`SimplicialComplex._boundary_of`
-    signs, go through that method's face index, and one argsort of the
-    incidences brings each row's two cofaces together.
+    One pass over the incidences, the faces of every top simplex in the
+    ``combinations`` order that :meth:`SimplicialComplex._boundary_of`
+    signs, records each row's first and second coface, and stops at a row
+    met a third time.  There are exactly 2 f_{top-1} incidences, so if no
+    row is met three times, every row is met exactly twice.
     """
     top = K.dim
     cells = K._simplices[top]
@@ -380,23 +381,26 @@ def _dual_forest(K: SimplicialComplex) -> tuple[set[int], int] | None:
     if 2 * n_rows != width * len(cells):
         return None
     face_row = K._boundary_of(top)[0]
+    first: list[int | None] = [None] * n_rows
+    second: list[int | None] = [None] * n_rows
     # Incidence k is face k % width of simplex k // width, whose sign is
     # (-1)^(top - k % width).
-    rows = list(map(face_row, chain.from_iterable(map(combinations, cells, repeat(top)))))
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    # each row twice: sorted, the rows read 0, 0, 1, 1, ...
-    ordered = list(map(rows.__getitem__, order))
-    evens = ordered[::2]
-    if evens != ordered[1::2] or not all(map(eq, evens, range(n_rows))):
-        return None
+    faces = chain.from_iterable(map(combinations, cells, repeat(top)))
+    for k, r in enumerate(map(face_row, faces)):
+        if first[r] is None:
+            first[r] = k
+        elif second[r] is None:
+            second[r] = k
+        else:
+            return None
     parent = list(range(len(cells)))
     flip = [0] * len(cells)  # sigma_v sigma_parent(v) = (-1)^flip[v]
     size = [1] * len(cells)
     twisted = [False] * len(cells)  # of a root: its component is non-orientable
     tree = set()
-    # zip over one iterator twice reads it in pairs: each row's two cofaces
-    incidences = map(divmod, reversed(order), repeat(width))
-    for r, (a, ma), (b, mb) in zip(range(n_rows - 1, -1, -1), incidences, incidences):
+    for r in range(n_rows - 1, -1, -1):
+        a, ma = divmod(second[r], width)
+        b, mb = divmod(first[r], width)
         # row r cancels when sigma_a sigma_b = (-1)^want; walking up to the
         # roots turns that into the relation the roots need
         want = (ma ^ mb ^ 1) & 1
@@ -473,8 +477,7 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
     if forest is not None:
         pivots, twisted = forest
         rank_d[top] = len(pivots) + twisted
-        if twisted:
-            torsion[top - 1] = (2,) * twisted
+        torsion[top - 1] = (2,) * twisted
     for i in range(top - (forest is not None), 0, -1):
         face_row, boundary = K._boundary_of(i)
         kept = [s for r, s in enumerate(K._simplices[i]) if r not in pivots]
@@ -483,14 +486,9 @@ def simplicial_homology(K: SimplicialComplex) -> GradedGroup:
             lows, lambda c: boundary(kept[c]), lambda c: face_row(kept[c][:1] + kept[c][2:]))
         diag = smith_diagonal(residual)
         rank_d[i] = len(pivots) + sum(1 for x in diag if x)
-        factors = tuple(x for x in diag if x > 1)
-        if factors:
-            torsion[i - 1] = factors
-    ranks: dict[int, int] = {}
-    for i in range(top + 1):
-        r = K.n_simplices(i) - rank_d.get(i, 0) - rank_d.get(i + 1, 0)
-        if r:
-            ranks[i] = r
+        torsion[i - 1] = tuple(x for x in diag if x > 1)
+    ranks = {i: K.n_simplices(i) - rank_d.get(i, 0) - rank_d.get(i + 1, 0)
+             for i in range(top + 1)}
     return GradedGroup(ranks, torsion)
 
 

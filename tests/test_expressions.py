@@ -61,8 +61,8 @@ class TestParse:
         assert expr == ConnSum((Product(S1, S1),) * 3)
 
     @pytest.mark.parametrize("text,position,message", [
-        ("S0", 0, "S0 is disconnected and not a valid atom"),
-        ("S2 # S0", 5, "S0 is disconnected and not a valid atom"),
+        ("S0", 0, "sphere dimension must be at least 1 (S0 is disconnected)"),
+        ("S2 # S0", 5, "sphere dimension must be at least 1 (S0 is disconnected)"),
         ("S", 0, "expected digits after 'S'"),
         ("S2 S3", 3, "unexpected trailing input"),
         ("S2)", 2, "unexpected trailing input"),

@@ -48,6 +48,21 @@ class TestPublicSurface:
             }
             assert defined - set(module.__all__) == set(), module.__name__
 
+    # Each dispatch on an expression's node type ends in a TypeError that
+    # names what it was given; IntegerMatrix @ a non-matrix defers to Python.
+    @pytest.mark.parametrize("call,message", [
+        pytest.param(flowtop.homology, "'S2'", id="homology"),
+        pytest.param(flowtop.poincare_polynomial, "'S2'", id="poincare_polynomial"),
+        pytest.param(lambda x: flowtop.betti(x, 0), "'S2'", id="betti"),
+        pytest.param(flowtop.euler_characteristic, "'S2'", id="euler_characteristic"),
+        pytest.param(flowtop.triangulate, "'S2'", id="triangulate"),
+        pytest.param(flowtop.render_manifold, "'S2'", id="render_manifold"),
+        pytest.param(lambda x: flowtop.IntegerMatrix.identity(2) @ 3, "@", id="matmul"),
+    ])
+    def test_a_value_of_the_wrong_type_is_a_type_error(self, call, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            call("S2")
+
 
 def quickstart_block() -> str:
     text = README.read_text(encoding="utf-8")
