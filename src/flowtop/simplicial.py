@@ -22,6 +22,7 @@ expression via :func:`triangulate`.
 from __future__ import annotations
 
 from collections.abc import Callable, Container, Hashable, Iterable, Sequence
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, repeat
 from operator import itemgetter
@@ -58,8 +59,6 @@ class SimplicialComplex:
     true are three labels: ``[1, True]`` is two vertices, and a facet
     label names a vertex only if it has that vertex's type as well.
     """
-
-    __slots__ = ("_labels", "_simplices", "_maximal")
 
     def __init__(self, vertices: Iterable[Hashable], facets: Iterable[Sequence[Hashable]],
                  max_dim: int | None = None):
@@ -98,30 +97,29 @@ class SimplicialComplex:
 
         self._labels = tuple(labels)
         self._simplices = lattice[::-1]
-        self._maximal: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def _from_lattice(cls, labels: tuple[Hashable, ...],
                       levels: list[list[tuple[int, ...]]]) -> SimplicialComplex:
         """A complex whose face lattice, as vertex index tuples each sorted,
-        with every level sorted, is already known."""
+        is already known; each level is sorted here, in place."""
+        for level in levels:
+            level.sort()
         K = cls.__new__(cls)
         K._labels = labels
         K._simplices = levels
-        K._maximal = None
         return K
 
+    @cached_property
     def _facets(self) -> tuple[tuple[int, ...], ...]:
         """The maximal simplices, sorted: each simplex that is not a face of
         the level above it, derived on the first read and kept."""
-        if self._maximal is None:
-            levels = self._simplices
-            maximal = list(levels[-1])
-            for size, (level, above) in enumerate(zip(levels, levels[1:]), 1):
-                faces = _faces(above, size)
-                maximal += [s for s in level if s not in faces]
-            self._maximal = tuple(sorted(maximal))
-        return self._maximal
+        levels = self._simplices
+        maximal = list(levels[-1])
+        for size, (level, above) in enumerate(zip(levels, levels[1:]), 1):
+            faces = _faces(above, size)
+            maximal += [s for s in level if s not in faces]
+        return tuple(sorted(maximal))
 
     @property
     def vertices(self) -> tuple[Hashable, ...]:
@@ -129,7 +127,7 @@ class SimplicialComplex:
 
     @property
     def facets(self) -> tuple[tuple[Hashable, ...], ...]:
-        return tuple(tuple(self._labels[i] for i in f) for f in self._facets())
+        return tuple(tuple(self._labels[i] for i in f) for f in self._facets)
 
     @property
     def dim(self) -> int:
@@ -539,21 +537,9 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
     t.  So f_d = sum over p, q of f_p(K) f_q(L) d!/((d-q)!(d-p)!(p+q-d)!),
     the closed-form f-vector of a product.  Vertex (a, b) has index
     a * |L| + b, which increases along a chain, so every generated tuple
-    is increasing and only each level needs sorting.
+    is increasing; :meth:`SimplicialComplex._from_lattice` sorts the levels.
     """
     width = len(L._labels)
-
-    def scaled(faces_K: Iterable[tuple[int, ...]]) -> list[list[int]]:
-        """The row offsets a * |L| of each face of K."""
-        return [[a * width for a in s] for s in faces_K]
-
-    def grids(rows: list[list[int]], faces_L: Iterable[tuple[int, ...]]) -> list[list[int]]:
-        """The indices of s x t flattened by rows, for each face pair, from
-        the faces s of K as scaled rows.  The faces of L are the outer loop:
-        for one word, the simplices over one face of L then come out in the
-        (sorted) order of the faces of K, so each level is sorted from long
-        runs."""
-        return [[a + b for a in r for b in t] for t in faces_L for r in rows]
 
     def cells(pairs: list[list[int]], p: int, q: int, d: int) -> list[tuple[int, ...]]:
         """The d-simplices over the grids of p-faces by q-faces in pairs."""
@@ -573,13 +559,14 @@ def product_complex(K: SimplicialComplex, L: SimplicialComplex) -> SimplicialCom
 
     levels: list[list[tuple[int, ...]]] = [[] for _ in range(K.dim + L.dim + 1)]
     for p, faces_K in enumerate(K._simplices):
-        rows = scaled(faces_K)
+        rows = [[a * width for a in s] for s in faces_K]
         for q, faces_L in enumerate(L._simplices):
-            pairs = grids(rows, faces_L)
+            # the grids s x t flattened by rows, faces of L the outer loop: for
+            # one word, the simplices over one face of L come out in the sorted
+            # order of the faces of K, so each level is sorted from long runs
+            pairs = [[a + b for a in r for b in t] for t in faces_L for r in rows]
             for d in range(max(p, q), p + q + 1):
                 levels[d] += cells(pairs, p, q, d)
-    for level in levels:
-        level.sort()
     labels = tuple((a, b) for a in K._labels for b in L._labels)
     return SimplicialComplex._from_lattice(labels, levels)
 
@@ -655,9 +642,7 @@ def _glue(pieces: Sequence[SimplicialComplex]) -> SimplicialComplex:
             level += zip(*[map(label_of, flat)] * size)
         for facet in zip(*[map(label_of, top)] * len(glued)):
             heappush(heap, facet)
-    for level in levels:
-        level.sort()
-    return SimplicialComplex._from_lattice(tuple(range(fresh)), levels + [sorted(heap)])
+    return SimplicialComplex._from_lattice(tuple(range(fresh)), levels + [heap])
 
 
 def triangulate(expr: ManifoldExpr) -> SimplicialComplex:
@@ -689,7 +674,7 @@ def complex_to_json(K: SimplicialComplex) -> dict:
     names = list(named)
     return {
         "vertices": names,
-        "facets": [[names[i] for i in f] for f in K._facets()],
+        "facets": [[names[i] for i in f] for f in K._facets],
     }
 
 

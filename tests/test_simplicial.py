@@ -101,6 +101,16 @@ class TestConstruction:
                 assert K.simplices(d) == sorted(faces), (seed, d)
             assert K.dim == max(map(len, maximal)) - 1
 
+    def test_from_lattice_sorts_the_levels_it_is_handed(self):
+        # A filled triangle's levels, each handed over in reverse order.
+        levels = [list(combinations(range(3), size))[::-1] for size in (1, 2, 3)]
+        K = SimplicialComplex._from_lattice((0, 1, 2), levels)
+        assert [K.simplices(d) for d in range(3)] == [
+            [(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
+        built = SimplicialComplex(range(3), [(0, 1, 2)])
+        assert K.facets == built.facets == ((0, 1, 2),)
+        assert all(K.boundary_matrix(i) == built.boundary_matrix(i) for i in (1, 2))
+
     @pytest.mark.parametrize("vertices, facets, message", [
         ([], [], "a complex needs at least one vertex"),
         ([], [["a"]], "a complex needs at least one vertex"),
@@ -1093,8 +1103,8 @@ class TestStaircaseLattice:
         # second generation of them.
         K = triangulate(parse_manifold(text))
         top = K._simplices[-1]
-        assert K._facets() == tuple(top)
-        assert all(f is s for f, s in zip(K._facets(), top))
+        assert K._facets == tuple(top)
+        assert all(f is s for f, s in zip(K._facets, top))
 
 
 SCALARS = "vertex labels must be JSON scalars, not lists or objects"
@@ -1174,6 +1184,26 @@ class TestJson:
         assert [list(f) for f in restored.facets] == doc["facets"]
         assert ([restored.n_simplices(d) for d in range(restored.dim + 1)]
                 == [K.n_simplices(d) for d in range(K.dim + 1)])
+
+    def test_facets_are_derived_once_per_complex(self, monkeypatch):
+        # A filled triangle with a loop of edges, times a circle: facets of 3
+        # and 4 vertices, read off the lattice on the first write only.
+        K = product_complex(SimplicialComplex(range(5), [[0, 1, 2], [2, 3], [3, 4], [2, 4]]),
+                            circle_complex(3))
+        calls = []
+        faces = simplicial._faces
+
+        def counting(level, size):
+            calls.append(size)
+            return faces(level, size)
+
+        monkeypatch.setattr(simplicial, "_faces", counting)
+        doc = complex_to_json(K)
+        assert len(doc["facets"]) == 27 and calls
+        calls.clear()
+        assert complex_to_json(K) == doc
+        assert K.facets
+        assert calls == []
 
     def test_document_shape(self):
         doc = complex_to_json(circle_complex(3))
