@@ -21,7 +21,7 @@ edge runs from a higher Morse index to a lower one, no saddle-to-saddle
 edge, each saddle has the sinks and sources its index allows).
 
 With a defined genus, ``validate_flow`` asks the engine once per call for
-``poincare_polynomial(s_ng(n, g))``: the Morse check reads its coefficients
+``poincare_polynomial(s_ng(n, g))``: the Morse check reads its non-zero terms
 and the Euler check its value at t = -1.  The read is O(1) in n and g, so
 nothing is cached.  The middle-index exclusion reads no Betti numbers, since
 beta_i(Sng(n, g)) = 0 for every 2 <= i <= n-2.  Without a genus, an even-n
@@ -30,8 +30,9 @@ Euler check is not evaluated and passes; odd n still needs chi = 0.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any
 
 from .expressions import s_ng
 # validate_flow calls no euler_characteristic; perfbench/spans.py traces this import site.
@@ -85,12 +86,12 @@ class Connection:
 class FlowSpec:
     """Index counts of a gradient-like flow, with optional connection data.
 
-    ``counts[i]`` is the number of equilibria of Morse index i, so the
-    vector has length n + 1.  A flow on a closed manifold has at least one
-    sink and one source, hence counts[0] >= 1 and counts[n] >= 1; anything
-    else is rejected as malformed.  ``connections`` and ``indices`` come
-    together or not at all: the indices map labels every referenced
-    equilibrium with its Morse index.
+    ``counts[i]`` is the number of equilibria of Morse index i, so the list
+    or tuple has length n + 1.  A flow on a closed manifold has at least one
+    sink and one source, hence counts[0] >= 1 and counts[n] >= 1.  The
+    ``indices`` mapping labels each equilibrium that a connection names, by
+    a string, with its Morse index; the two come together or not at all.
+    Every rule of a spec is checked here, once: a fault is a ValueError.
     """
 
     n: int
@@ -102,6 +103,8 @@ class FlowSpec:
     def __post_init__(self):
         if not _is_int(self.n) or self.n < 2:
             raise ValueError(f"ambient dimension must be an integer >= 2, got {self.n!r}")
+        if not isinstance(self.counts, (list, tuple)):
+            raise ValueError(f"counts must be a list or tuple, got {type(self.counts).__name__}")
         counts = tuple(self.counts)
         if len(counts) != self.n + 1:
             raise ValueError(
@@ -119,13 +122,20 @@ class FlowSpec:
         if (self.connections is None) != (self.indices is None):
             raise ValueError("connections and indices are optional together")
         if self.connections is not None:
+            if not isinstance(self.indices, Mapping):
+                raise ValueError("indices must map labels to Morse indices")
             conns = tuple(self.connections)
             idx = dict(self.indices)
+            # labels are strings: 1, true and null must not match "1", "True", "None"
             for name, i in idx.items():
+                if not isinstance(name, str):
+                    raise ValueError("labels in 'indices' must be strings")
                 if not _is_int(i) or not 0 <= i <= self.n:
                     raise ValueError(
                         f"Morse index of {name!r} must be an integer in 0..{self.n}, got {i!r}")
             for edge in conns:
+                if not (isinstance(edge.source, str) and isinstance(edge.target, str)):
+                    raise ValueError("connection endpoints 'from' and 'to' must be label strings")
                 for endpoint in (edge.source, edge.target):
                     if endpoint not in idx:
                         raise ValueError(f"connection endpoint {endpoint!r} has no Morse index")
@@ -297,8 +307,9 @@ def _check_morse(n: int, c: tuple[int, ...], g: int | None,
             "morse_inequalities", True,
             "genus undefined; checked only the genus-independent bounds "
             "(Betti numbers of the genus-0 manifold)")
-    violations = [f"c_{i} = {ci} < beta_{i} = {b}"
-                  for i, ci in enumerate(c) if ci < (b := poly.coefficient(i))]
+    # only a degree with beta_i > 0 can break c_i >= beta_i; the map is sorted
+    violations = [f"c_{i} = {c[i]} < beta_{i} = {b}"
+                  for i, b in poly._ranks.items() if c[i] < b]
     if violations:
         return CheckResult("morse_inequalities", False, "; ".join(violations))
     return CheckResult(
@@ -437,45 +448,23 @@ def flow_spec_from_json(data: Any) -> FlowSpec:
          "connections": [{"from": "s1", "to": "a1"}, ...],
          "indices": {"s1": 1, "a1": 0}}
 
-    ``connections`` and ``indices`` are optional together and
-    ``no_heteroclinic`` defaults to true.
+    ``connections`` and ``indices`` are optional together and ``no_heteroclinic``
+    defaults to true.  Only the shape is checked here; FlowSpec checks every value.
     """
     if not isinstance(data, dict):
         raise ValueError("flow spec must be a JSON object")
-    if "n" not in data:
-        raise ValueError("flow spec is missing the field 'n'")
-    if "counts" not in data:
-        raise ValueError("flow spec is missing the field 'counts'")
-    n = data["n"]
-    counts = data["counts"]
-    if not _is_int(n):
-        raise ValueError("field 'n' must be an integer")
-    if not isinstance(counts, list):
-        raise ValueError("field 'counts' must be a list of integers")
-    no_het = data.get("no_heteroclinic", True)
-    connections = None
-    indices = None
+    for field in ("n", "counts"):
+        if field not in data:
+            raise ValueError(f"flow spec is missing the field {field!r}")
+    connections = data.get("connections")
     if "connections" in data or "indices" in data:
-        raw_conns = data.get("connections")
-        raw_idx = data.get("indices")
-        if not isinstance(raw_conns, list) or not isinstance(raw_idx, dict):
-            raise ValueError("'connections' must be a list and 'indices' an object, "
-                             "and they are optional together")
-        conns = []
-        for entry in raw_conns:
-            if not isinstance(entry, dict) or "from" not in entry or "to" not in entry:
-                raise ValueError("each connection must be an object with 'from' and 'to'")
-            ends = entry["from"], entry["to"]
-            # labels are JSON strings: 1, true and null must not match "1", "True", "None"
-            if not all(isinstance(end, str) for end in ends):
-                raise ValueError("connection endpoints 'from' and 'to' must be label strings")
-            conns.append(Connection(*ends))
-        connections = tuple(conns)
-        if not all(isinstance(label, str) for label in raw_idx):
-            raise ValueError("labels in 'indices' must be strings")
-        indices = raw_idx
-    return FlowSpec(n=n, counts=tuple(counts), no_heteroclinic=no_het,
-                    connections=connections, indices=indices)
+        if not isinstance(connections, list) or not all(
+                isinstance(e, dict) and "from" in e and "to" in e for e in connections):
+            raise ValueError("'connections' must be a list of objects with 'from' and 'to'")
+        connections = tuple(Connection(e["from"], e["to"]) for e in connections)
+    return FlowSpec(n=data["n"], counts=data["counts"],
+                    no_heteroclinic=data.get("no_heteroclinic", True),
+                    connections=connections, indices=data.get("indices"))
 
 
 def flow_spec_to_json(spec: FlowSpec) -> dict:

@@ -89,9 +89,12 @@ class GradedGroup:
         return group
 
     def rank(self, degree: int) -> int:
+        """Free rank in ``degree``; a non-int degree is refused here, as in ``betti``."""
+        _check_degree(degree)
         return self._ranks.get(degree, 0)
 
     def invariant_factors(self, degree: int) -> tuple[int, ...]:
+        _check_degree(degree)
         return self._torsion.get(degree, ())
 
     @property
@@ -170,6 +173,8 @@ class PoincarePolynomial:
         return max(self._ranks, default=0)
 
     def coefficient(self, i: int) -> int:
+        """The i-th Betti number; a non-int i is refused here, as in ``betti``."""
+        _check_degree(i)
         return self._ranks.get(i, 0)
 
     def __call__(self, t: int) -> int:

@@ -45,6 +45,8 @@ __all__ = [
     "triangulate",
 ]
 
+_NOT_SCALAR = "vertex labels must be JSON scalars, not lists or objects"
+
 
 class SimplicialComplex:
     """Abstract simplicial complex over an ordered vertex set.
@@ -57,7 +59,8 @@ class SimplicialComplex:
 
     A label is its type and value together, as in JSON, where 1, 1.0 and
     true are three labels: ``[1, True]`` is two vertices, and a facet
-    label names a vertex only if it has that vertex's type as well.
+    label names a vertex only if it has that vertex's type as well.  Each
+    label is checked here, an unhashable one (a JSON list or object) too.
     """
 
     def __init__(self, vertices: Iterable[Hashable], facets: Iterable[Sequence[Hashable]],
@@ -66,17 +69,23 @@ class SimplicialComplex:
         if not labels:
             raise ValueError("a complex needs at least one vertex")
         index: dict[tuple[type, Hashable], int] = {}
-        for pos, key in enumerate(zip(map(type, labels), labels)):
-            if index.setdefault(key, pos) != pos:
-                raise ValueError(f"repeated vertex label {key[1]!r}")
+        try:
+            for pos, key in enumerate(zip(map(type, labels), labels)):
+                if index.setdefault(key, pos) != pos:
+                    raise ValueError(f"repeated vertex label {key[1]!r}")
+        except TypeError:  # an unhashable label: from JSON, a list or object
+            raise ValueError(_NOT_SCALAR) from None
 
         by_size: dict[int, set[tuple[int, ...]]] = {}
         for facet in facets:
+            keys = zip(map(type, facet), facet)  # a non-iterable facet stays a TypeError
             try:
-                f = tuple(sorted(map(index.__getitem__, zip(map(type, facet), facet))))
+                f = tuple(sorted(map(index.__getitem__, keys)))
             except KeyError as exc:
                 lab = exc.args[0][1]
                 raise ValueError(f"facet vertex {lab!r} is not in the vertex set") from None
+            except TypeError:
+                raise ValueError(_NOT_SCALAR) from None
             if len(set(f)) != len(f):
                 raise ValueError(f"facet {list(facet)!r} contains a repeated vertex")
             if not f:
@@ -681,8 +690,8 @@ def complex_to_json(K: SimplicialComplex) -> dict:
 def complex_from_json(data: Any, max_dim: int | None = None) -> SimplicialComplex:
     """Build a complex from ``{"vertices": [...], "facets": [[...], ...]}``.
 
-    The document's shape and scalar labels are checked here; the rest,
-    labels included, is the constructor's.
+    Only the document's shape is checked here; the labels, list and object
+    labels included, are the constructor's to check, in its order.
     """
     if not isinstance(data, dict):
         raise ValueError("complex must be a JSON object")
@@ -692,10 +701,6 @@ def complex_from_json(data: Any, max_dim: int | None = None) -> SimplicialComple
     facets = data["facets"]
     if not isinstance(vertices, list) or not isinstance(facets, list):
         raise ValueError("'vertices' and 'facets' must be lists")
-    for f in facets:
-        if not isinstance(f, list):
-            raise ValueError("each facet must be a list of vertex labels")
-    kinds = set(map(type, chain(vertices, chain.from_iterable(facets))))
-    if list in kinds or dict in kinds:
-        raise ValueError("vertex labels must be JSON scalars, not lists or objects")
+    if not all(isinstance(f, list) for f in facets):
+        raise ValueError("each facet must be a list of vertex labels")
     return SimplicialComplex(vertices, facets, max_dim)

@@ -296,6 +296,25 @@ class TestValidateFlow:
         with pytest.raises(ValueError):
             FlowSpec(1, (1, 1))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(counts=5), "counts must be a list or tuple, got int"),
+        (dict(counts="11011"), "counts must be a list or tuple, got str"),
+        (dict(counts={0: 1}), "counts must be a list or tuple, got dict"),
+        (dict(connections=(), indices=[("a", 0)]), "indices must map labels to Morse indices"),
+        # labels are strings: an int label does not name the equilibrium "1"
+        (dict(connections=(Connection("1", "a"),), indices={1: 1, "a": 0}),
+         "labels in 'indices' must be strings"),
+        (dict(connections=(Connection(1, "a"),), indices={"1": 1, "a": 0}),
+         "connection endpoints 'from' and 'to' must be label strings"),
+        (dict(connections=(Connection("a", None),), indices={"a": 0}),
+         "connection endpoints 'from' and 'to' must be label strings"),
+    ])
+    def test_wrong_types_are_refused_when_built(self, kwargs, message):
+        # one line, as ValueError, never a TypeError or a crash in validate_flow
+        with pytest.raises(ValueError) as info:
+            FlowSpec(**{"n": 4, "counts": (1, 1, 0, 1, 1), **kwargs})
+        assert str(info.value) == message
+
 
 GOOD_CONNECTIONS = dict(
     connections=(
@@ -600,6 +619,9 @@ class TestJson:
         {"n": 4, "counts": [1, 0, 0, 0, 1], "connections": []},
         {"n": 4, "counts": [1, 0, 0, 0, 1], "connections": [{"from": "a"}],
          "indices": {"a": 0}},
+        # null is not an absent field
+        {"n": 4, "counts": [1, 0, 0, 0, 1], "indices": None},
+        {"n": 4, "counts": [1, 0, 0, 0, 1], "connections": None, "indices": {}},
         # JSON 1, true and null are not the labels "1", "True" and "None"
         *({"n": 4, "counts": [1, 1, 0, 1, 1], "connections": [conn],
            "indices": {"1": 1, "True": 1, "None": 1, "a": 0}}
@@ -613,6 +635,34 @@ class TestJson:
     def test_malformed_documents(self, doc):
         with pytest.raises(ValueError):
             flow_spec_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"n": "4", "counts": [1, 0, 0, 0, 1]},
+        {"n": 4, "counts": 5},
+        {"n": 4, "counts": {"0": 1}},
+        {"n": 4, "counts": [1, 0, 0, 1]},
+        {"n": 4, "counts": [1, 0, 0, 0, 1], "no_heteroclinic": "yes"},
+        {"n": 4, "counts": [1, 1, 0, 1, 1], "connections": [{"from": 1, "to": "a"}],
+         "indices": {"1": 1, "a": 0}},
+        {"n": 4, "counts": [1, 1, 0, 1, 1], "connections": [{"from": "s", "to": "a"}],
+         "indices": {1: 1, "a": 0}},
+        {"n": 4, "counts": [1, 1, 0, 1, 1], "connections": [{"from": "s", "to": "a"}],
+         "indices": {"s": 5, "a": 0}},
+        {"n": 4, "counts": [1, 1, 0, 1, 1], "connections": []},
+        {"n": 4, "counts": [1, 1, 0, 1, 1], "connections": [], "indices": [["a", 0]]},
+    ])
+    def test_refused_as_the_constructor_refuses(self, doc):
+        # Past the document's shape, flow_spec_from_json refuses what FlowSpec
+        # refuses, with the same message.
+        with pytest.raises(ValueError) as from_json:
+            flow_spec_from_json(doc)
+        fields = {"no_heteroclinic": True, **doc}
+        if "connections" in doc:
+            fields["connections"] = tuple(Connection(e["from"], e["to"])
+                                          for e in doc["connections"])
+        with pytest.raises(ValueError) as constructed:
+            FlowSpec(**fields)
+        assert str(from_json.value) == str(constructed.value)
 
     def test_report_schema_and_round_trip(self):
         report = validate_flow(FlowSpec(4, (1, 1, 0, 1, 1)))

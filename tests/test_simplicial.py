@@ -129,11 +129,21 @@ class TestConstruction:
         (["a", "b"], [[], ["a", "a"]], "empty facet"),
         # A label is its type and value, as in JSON: 2.0 names no vertex 2.
         ([1, 2], [[1, 2.0]], "facet vertex 2.0 is not in the vertex set"),
+        # An unhashable label is refused where it is read.
+        ([[1]], [[[1]]], "vertex labels must be JSON scalars, not lists or objects"),
+        ([1, {2}], [[1]], "vertex labels must be JSON scalars, not lists or objects"),
+        ([1, 1, [2]], [[1]], "repeated vertex label 1"),
+        ([1, 2], [[3, [1]]], "facet vertex 3 is not in the vertex set"),
     ])
     def test_validation(self, vertices, facets, message):
         with pytest.raises(ValueError) as info:
             SimplicialComplex(vertices, facets)
         assert str(info.value) == message
+
+    def test_a_facet_that_is_not_iterable_is_a_type_error(self):
+        # not taken for an unhashable label
+        with pytest.raises(TypeError, match="not iterable"):
+            SimplicialComplex([1, 2], [1])
 
     @pytest.mark.parametrize("facets, message", [
         ([range(30)], "complex has dimension 29, above the limit 28"),
@@ -1142,20 +1152,20 @@ MALFORMED_DOCUMENTS = [
     ({"vertices": [1, 2], "facets": [[1, 1], []]}, "facet [1, 1] contains a repeated vertex"),
     ({"vertices": [None, "x"], "facets": [[None], ["x", "x"], []]},
      "facet ['x', 'x'] contains a repeated vertex"),
+    # A list label is refused where the constructor reads it: after the
+    # vertex list's repeat.
+    ({"vertices": [1, 1], "facets": [[[1]]]}, "repeated vertex label 1"),
 ]
 
 
 def constructor_decides(doc):
-    """Whether ``doc`` passes complex_from_json's own checks of shape and
-    scalar labels, so that the constructor decides the rest."""
+    """Whether ``doc`` passes complex_from_json's own check of its shape, so
+    that the constructor decides the rest, labels included."""
     if not isinstance(doc, dict) or not {"vertices", "facets"} <= doc.keys():
         return False
     vertices, facets = doc["vertices"], doc["facets"]
-    if not (isinstance(vertices, list) and isinstance(facets, list)
-            and all(isinstance(f, list) for f in facets)):
-        return False
-    labels = vertices + [v for f in facets for v in f]
-    return not any(isinstance(v, (list, dict)) for v in labels)
+    return (isinstance(vertices, list) and isinstance(facets, list)
+            and all(isinstance(f, list) for f in facets))
 
 
 CONSTRUCTOR_DOCUMENTS = [doc for doc, _ in MALFORMED_DOCUMENTS if constructor_decides(doc)]
@@ -1224,9 +1234,9 @@ class TestJson:
         assert str(info.value) == message
 
     def test_every_constructor_document_is_picked(self):
-        # 25 documents: 10 fail a check of shape or scalar labels.
-        assert len(MALFORMED_DOCUMENTS) == 25
-        assert len(CONSTRUCTOR_DOCUMENTS) == 15
+        # 26 documents: 7 fail a check of shape.
+        assert len(MALFORMED_DOCUMENTS) == 26
+        assert len(CONSTRUCTOR_DOCUMENTS) == 19
 
     @pytest.mark.parametrize("doc", CONSTRUCTOR_DOCUMENTS)
     def test_refused_as_the_constructor_refuses(self, doc):
